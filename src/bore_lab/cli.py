@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -221,22 +220,6 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _worker_count(flag_value) -> int:
-    env = os.environ.get("BORE_LAB_THREADS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"BORE_LAB_THREADS is not an integer: {env!r}") from None
-    elif flag_value is not None:
-        workers = flag_value
-    else:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def cmd_error_study(args) -> int:
     config = load_config(args.config)
     if not isinstance(config, RunConfig):
@@ -250,7 +233,7 @@ def cmd_error_study(args) -> int:
         raise ConfigError("epsilon list is empty")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = error_study(config, epsilons, workers=_worker_count(args.workers))
+    result = error_study(config, epsilons)
     for i, series in enumerate(result.series):
         write_error_series_csv(series, out_dir / f"error_{i:03d}.csv")
     fits = [
@@ -453,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", required=True,
                    help="comma-separated positive values")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel runs (BORE_LAB_THREADS overrides)")
     p.set_defaults(func=cmd_error_study)
 
     p = sub.add_parser("overlay", help="compare a profile against gauge data")

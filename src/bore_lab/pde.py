@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConfigError, NumericsError
 
@@ -71,7 +71,7 @@ class Grid:
 
 @dataclass
 class FieldPair:
-    """Surface elevation and velocity samples at one instant."""
+    """Surface elevation and velocity samples at one instant; (m, n) holds m runs."""
 
     eta: np.ndarray
     u: np.ndarray
@@ -80,8 +80,8 @@ class FieldPair:
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
-        if self.eta.shape != self.u.shape or self.eta.ndim != 1:
-            raise ValueError("eta and u must be 1-D arrays of equal length")
+        if self.eta.shape != self.u.shape or self.eta.ndim not in (1, 2):
+            raise ValueError("eta and u must be 1-D or 2-D arrays of equal shape")
 
     def copy(self) -> "FieldPair":
         return FieldPair(self.eta.copy(), self.u.copy(), self.t)
@@ -127,35 +127,47 @@ def make_initial(ic: InitialCondition, grid: Grid) -> FieldPair:
 
 
 # ---------------------------------------------------------------------------
-# difference operators
+# difference operators: along the last axis, so each row of an (m, n) batch
+# comes out exactly as a 1-D call on it would
 
 def _pad(y: np.ndarray, grid: Grid, parity: int, width: int) -> np.ndarray:
+    n = y.shape[-1]
+    p = np.empty(y.shape[:-1] + (n + 2 * width,))
+    p[..., width:-width] = y
     if grid.boundary is BoundaryKind.PERIODIC:
-        return np.concatenate([y[-width:], y, y[:width]])
-    left = parity * y[width - 1 :: -1]
-    right = parity * y[: -width - 1 : -1]
-    return np.concatenate([left, y, right])
+        p[..., :width] = y[..., n - width :]
+        p[..., -width:] = y[..., :width]
+    else:
+        np.multiply(y[..., width - 1 :: -1], parity, out=p[..., :width])
+        np.multiply(y[..., : -width - 1 : -1], parity, out=p[..., -width:])
+    return p
 
 
 def first_difference(y: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
-    """Fourth-order central d/dx.
+    """Fourth-order central d/dx along the last axis.
 
     parity selects the mirror closure on reflective grids: +1 for fields
     even about the walls (eta), -1 for odd fields (u).  Ignored on
     periodic grids.
     """
     p = _pad(y, grid, parity, 2)
-    n = y.size
-    return (p[0:n] - 8.0 * p[1 : n + 1] + 8.0 * p[3 : n + 3] - p[4 : n + 4]) / (
-        12.0 * grid.dx
-    )
+    n = y.shape[-1]
+    d = p[..., 3 : n + 3] - p[..., 1 : n + 1]
+    d *= 8.0
+    d += p[..., 0:n]
+    d -= p[..., 4:]
+    d /= 12.0 * grid.dx
+    return d
 
 
 def second_difference(y: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
-    """Second-order central d2/dx2 with the same closure convention."""
+    """Second-order central d2/dx2 along the last axis, same closure convention."""
     p = _pad(y, grid, parity, 1)
-    n = y.size
-    return (p[0:n] - 2.0 * p[1 : n + 1] + p[2 : n + 2]) / (grid.dx * grid.dx)
+    n = y.shape[-1]
+    d = p[..., 0:n] + p[..., 2:]
+    d -= 2.0 * p[..., 1 : n + 1]
+    d /= grid.dx * grid.dx
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +177,14 @@ class _HelmholtzSolver:
     """Factorization of I - delta*D2, built once and reused every stage.
 
     The operator is symmetric positive definite (it dominates the
-    identity), so a banded Cholesky factorization of the tridiagonal core
-    is enough; the periodic wrap couples only the first and last unknowns
+    identity), so an LDL^T factorization of the tridiagonal core is
+    enough; the periodic wrap couples only the first and last unknowns
     and is restored by a rank-one Sherman-Morrison correction.
     """
 
     def __init__(self, delta: float, grid: Grid):
         n = grid.n
         q = delta / (grid.dx * grid.dx)
-        self.q = q
         diag = np.full(n, 1.0 + 2.0 * q)
         # End diagonals are 1 + 3q either way: the periodic wrap is written
         # as T - q*w w^T with w = e_0 + e_{n-1} and restored by the rank-one
@@ -181,23 +192,24 @@ class _HelmholtzSolver:
         # closure (the solved field is velocity-like and vanishes at walls).
         diag[0] += q
         diag[-1] += q
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -q
-        ab[1] = diag
-        self._cho = cholesky_banded(ab, check_finite=False)
+        self._d, self._e, info = dpttrf(diag, np.full(n - 1, -q))
+        if info != 0:
+            raise NumericsError(f"Helmholtz factorization failed (dpttrf info = {info})")
+        self._p = None
         if grid.boundary is BoundaryKind.PERIODIC:
             w = np.zeros(n)
             w[0] = w[-1] = 1.0
-            p = cho_solve_banded((self._cho, False), w, check_finite=False)
-            self._p = p
+            self._p = p = self.solve(w)
             self._gain = q / (1.0 - q * (p[0] + p[-1]))
-        else:
-            self._p = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        z = cho_solve_banded((self._cho, False), rhs, check_finite=False)
+        # dpttrs solves each column of the (n, m) transpose: one row at a time.
+        z, info = dpttrs(self._d, self._e, rhs.reshape(-1, rhs.shape[-1]).T)
+        if info != 0:
+            raise NumericsError(f"Helmholtz solve failed (dpttrs info = {info})")
+        z = z.T.reshape(rhs.shape)
         if self._p is not None:
-            z = z + (self._gain * (z[0] + z[-1])) * self._p
+            z += (self._gain * (z[..., :1] + z[..., -1:])) * self._p
         return z
 
 
@@ -207,12 +219,12 @@ def _helmholtz(delta: float, grid: Grid) -> _HelmholtzSolver:
 
 
 def helmholtz_apply_inverse(rhs: np.ndarray, delta: float, grid: Grid) -> np.ndarray:
-    """Solve z - delta * D2 z = rhs; delta = 0 returns rhs unchanged."""
+    """Solve z - delta * D2 z = rhs, rhs (n,) or (m, n); delta = 0 returns rhs unchanged."""
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (grid.n,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({grid.n},)")
+    if rhs.ndim not in (1, 2) or rhs.shape[-1] != grid.n:
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({grid.n},) or (m, {grid.n})")
     if delta == 0.0:
         return rhs.copy()
     return _helmholtz(delta, grid).solve(rhs)
@@ -222,16 +234,17 @@ def helmholtz_apply_inverse(rhs: np.ndarray, delta: float, grid: Grid) -> np.nda
 # semidiscrete rates
 
 def _peregrine_rates(eta, u, delta, epsilon, grid):
+    # epsilon is a scalar, or an (m, 1) column with one value per batch row.
     if np.min(eta) <= -1.0:
         raise NumericsError("vacuum state: 1 + eta reached zero")
-    eta_rate = -first_difference(u + eta * u, grid, parity=-1)
-    forcing = -first_difference(eta, grid, parity=1) - u * first_difference(
-        u, grid, parity=-1
-    )
-    if epsilon != 0.0:
-        forcing = forcing + epsilon * second_difference(u, grid, parity=-1)
-    u_rate = helmholtz_apply_inverse(forcing, delta, grid)
-    return eta_rate, u_rate
+    eta_rate = first_difference((-1.0 - eta) * u, grid, parity=-1)
+    forcing = first_difference(u, grid, parity=-1)
+    forcing *= u
+    forcing += first_difference(eta, grid, parity=1)
+    np.negative(forcing, out=forcing)
+    if np.any(epsilon != 0.0):
+        forcing += epsilon * second_difference(u, grid, parity=-1)
+    return eta_rate, helmholtz_apply_inverse(forcing, delta, grid)
 
 
 def semidiscrete_rhs_peregrine(
@@ -292,20 +305,23 @@ def cfl_bound(state: FieldPair, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 # time stepping
 
-def _rk4_step(state: FieldPair, config: RunConfig) -> FieldPair:
+def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> FieldPair:
     grid, dt = config.grid, config.dt
-    d, e = config.delta, config.epsilon
+    d, e = config.delta, epsilon
     eta, u = state.eta, state.u
     k1e, k1u = _peregrine_rates(eta, u, d, e, grid)
     k2e, k2u = _peregrine_rates(eta + 0.5 * dt * k1e, u + 0.5 * dt * k1u, d, e, grid)
     k3e, k3u = _peregrine_rates(eta + 0.5 * dt * k2e, u + 0.5 * dt * k2u, d, e, grid)
     k4e, k4u = _peregrine_rates(eta + dt * k3e, u + dt * k3u, d, e, grid)
-    sixth = dt / 6.0
-    return FieldPair(
-        eta + sixth * (k1e + 2.0 * k2e + 2.0 * k3e + k4e),
-        u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-        state.t + dt,
-    )
+    # Sum k1 + 2 k2 + 2 k3 + k4 into k2 in place: no temporaries.
+    for y, k1, k2, k3, k4 in ((eta, k1e, k2e, k3e, k4e), (u, k1u, k2u, k3u, k4u)):
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= dt / 6.0
+        k2 += y
+    return FieldPair(k2e, k2u, state.t + dt)
 
 
 def _sw_flux(eta, u):
@@ -345,15 +361,17 @@ def _rusanov_step(state: FieldPair, config: RunConfig) -> FieldPair:
     return FieldPair(eta - lam * d1, u - lam * d2, state.t + dt)
 
 
-def step(state: FieldPair, config: RunConfig) -> FieldPair:
-    """Advance one dt; raises NumericsError on blow-up or vacuum."""
-    if config.system is SystemKind.SHALLOW_WATER:
-        out = _rusanov_step(state, config)
-    else:
-        out = _rk4_step(state, config)
+def _finite(out: FieldPair) -> FieldPair:
     if not (np.all(np.isfinite(out.eta)) and np.all(np.isfinite(out.u))):
         raise NumericsError(f"non-finite field values at t = {out.t:.6g}")
     return out
+
+
+def step(state: FieldPair, config: RunConfig) -> FieldPair:
+    """Advance one dt; raises NumericsError on blow-up or vacuum."""
+    if config.system is SystemKind.SHALLOW_WATER:
+        return _finite(_rusanov_step(state, config))
+    return _finite(_rk4_step(state, config, config.epsilon))
 
 
 def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[FieldPair]:
@@ -373,6 +391,11 @@ def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[Field
             raise ValueError("initial state does not match the grid")
         state = initial.copy()
         state.t = 0.0
+    return _march(state, config, lambda s: step(s, config))
+
+
+def _march(state: FieldPair, config: RunConfig, advance: Callable) -> List[FieldPair]:
+    """Apply advance up to t_end; copies of the state at the snapshot steps."""
     n_total = int(round(config.t_end / config.dt))
     requested = config.snapshot_times or (config.t_end,)
     targets = [min(max(int(round(ts / config.dt)), 0), n_total) for ts in requested]
@@ -383,7 +406,7 @@ def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[Field
     for pos in wanted.get(0, []):
         snapshots[pos] = state.copy()
     for k in range(1, n_total + 1):
-        state = step(state, config)
+        state = advance(state)
         for pos in wanted.get(k, []):
             snapshots[pos] = state.copy()
     return snapshots
@@ -445,20 +468,15 @@ class ErrorStudyResult:
     fits: Tuple[ErrorFit, ...]
 
 
-def _run_for_study(config: RunConfig) -> List[FieldPair]:
-    return evolve(config)
-
-
-def error_study(
-    base_config: RunConfig,
-    epsilons: Sequence[float],
-    workers: int = 1,
-) -> ErrorStudyResult:
+def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudyResult:
     """Deviation of dissipative runs from the epsilon = 0 run.
 
     All runs share the grid, step, and initial data of base_config; only
-    epsilon varies.  The fitted gain uses the window t >= 1 with y below
-    10% of the initial-data norm, before the linear law saturates.
+    epsilon varies, so they advance together as the rows of one batch,
+    row 0 being the epsilon = 0 reference.  Each row matches a standalone
+    evolve() run of its epsilon.  The fitted gain uses the window t >= 1
+    with y below 10% of the initial-data norm, before the linear law
+    saturates.
     """
     if len(epsilons) == 0:
         raise ConfigError("error study needs at least one epsilon")
@@ -466,19 +484,20 @@ def error_study(
         raise ConfigError("error-study epsilons must be positive")
     if not base_config.snapshot_times:
         raise ConfigError("error study needs snapshot_times in the base config")
-
-    configs = [replace(base_config, epsilon=0.0)]
-    configs += [replace(base_config, epsilon=float(e)) for e in epsilons]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_for_study, configs))
-    else:
-        runs = [evolve(c) for c in configs]
-    reference, dissipative = runs[0], runs[1:]
+    if base_config.system is not SystemKind.PEREGRINE_DISSIPATIVE:
+        raise ConfigError("error study needs the peregrine-dissipative system")
 
     init = make_initial(base_config.ic, base_config.grid)
+    runs = 1 + len(epsilons)
+    batch = FieldPair(np.tile(init.eta, (runs, 1)), np.tile(init.u, (runs, 1)))
+    column = np.array([0.0] + [float(e) for e in epsilons])[:, None]
+    snapshots = _march(
+        batch, base_config, lambda s: _finite(_rk4_step(s, base_config, column))
+    )
+    reference, *dissipative = (
+        [FieldPair(s.eta[r], s.u[r], s.t) for s in snapshots] for r in range(runs)
+    )
+
     zero = FieldPair(np.zeros(base_config.grid.n), np.zeros(base_config.grid.n), 0.0)
     ic_norm = error_norm(init, zero, base_config.grid)
 

@@ -206,7 +206,7 @@ def test_c08_deviation_scales_with_damping_and_time():
                      0.025, 25.0, delta=1.0, epsilon=0.1,
                      snapshot_times=(5.0, 7.5, 10.0, 12.5, 15.0, 20.0, 25.0))
     epsilons = [0.1, 0.05, 0.02, 0.01]
-    study = error_study(base, epsilons, workers=1)
+    study = error_study(base, epsilons)
     init = make_initial(base.ic, grid)
     rest = FieldPair(np.zeros(grid.n), np.zeros(grid.n))
     ceiling = 0.1 * error_norm(init, rest, grid)

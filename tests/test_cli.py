@@ -241,35 +241,30 @@ STUDY_RUN = SMALL_RUN.replace("t_end = 6", "t_end = 4").replace(
 )
 
 
-def test_error_study_outputs_and_worker_independence(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("BORE_LAB_THREADS", raising=False)
+def test_error_study_outputs_and_rerun_identity(tmp_path, capsys):
     conf = write_small_config(tmp_path, STUDY_RUN)
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["error-study", "--config", conf, "--epsilons", "0.1,0.05",
-                 "--out-dir", str(serial), "--workers", "1"]) == 0
-    assert main(["error-study", "--config", conf, "--epsilons", "0.1,0.05",
-                 "--out-dir", str(parallel), "--workers", "2"]) == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["error-study", "--config", conf, "--epsilons", "0.1,0.05",
+                     "--out-dir", str(out)]) == 0
     capsys.readouterr()
     for name in ("error_000.csv", "error_001.csv", "fits.json"):
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
-    fits = json.loads((serial / "fits.json").read_text())
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    fits = json.loads((a / "fits.json").read_text())
     assert [f["epsilon"] for f in fits] == [0.1, 0.05]
     assert all(f["K"] > 0.0 for f in fits)
     assert 0.5 < fits[0]["K"] / fits[1]["K"] < 2.0
-    data = np.genfromtxt(serial / "error_000.csv", delimiter=",", names=True)
+    data = np.genfromtxt(a / "error_000.csv", delimiter=",", names=True)
     assert data["t"].shape == (4,)
     assert np.all(data["y"] > 0.0)
 
 
-def test_error_study_env_var_overrides_flag(tmp_path, capsys, monkeypatch):
+def test_error_study_rejects_workers_flag(tmp_path, capsys):
+    # All runs advance together in one process; there is no worker count.
     conf = write_small_config(tmp_path, STUDY_RUN)
-    monkeypatch.setenv("BORE_LAB_THREADS", "not-a-number")
     assert main(["error-study", "--config", conf, "--epsilons", "0.1",
-                 "--out-dir", str(tmp_path / "o"), "--workers", "1"]) == 2
-    monkeypatch.setenv("BORE_LAB_THREADS", "1")
-    assert main(["error-study", "--config", conf, "--epsilons", "0.1",
-                 "--out-dir", str(tmp_path / "o")]) == 0
-    capsys.readouterr()
+                 "--out-dir", str(tmp_path / "o"), "--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("epsilons", [",", "0.1,-0.2", "0.1,abc"])

@@ -2,6 +2,7 @@
 time stepper's conservation and validation behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,24 @@ def test_reflective_closure_matches_symmetry():
     assert np.max(np.abs(d_odd - k * np.cos(k * g.x))) < 1e-7
 
 
+@pytest.mark.parametrize("boundary", ["reflective", "periodic"])
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("delta", [0.5, 0.0])
+def test_batched_operators_match_row_by_row(boundary, parity, delta):
+    # An (m, n) batch is m runs on one grid: each row must come out exactly
+    # as the 1-D call on that row would, mirror closure included.
+    g = Grid(-10.0, 10.0, 200, boundary)
+    rows = np.random.default_rng(7).standard_normal((3, g.n))
+    d1 = first_difference(rows, g, parity=parity)
+    d2 = second_difference(rows, g, parity=parity)
+    z = helmholtz_apply_inverse(rows, delta, g)
+    assert d1.shape == d2.shape == z.shape == rows.shape
+    for i, row in enumerate(rows):
+        assert np.array_equal(d1[i], first_difference(row, g, parity=parity))
+        assert np.array_equal(d2[i], second_difference(row, g, parity=parity))
+        assert np.array_equal(z[i], helmholtz_apply_inverse(row, delta, g))
+
+
 def test_difference_of_constant_vanishes():
     g = periodic_grid(64)
     c = np.full(64, 1.7)
@@ -201,6 +220,8 @@ def test_helmholtz_validation():
         helmholtz_apply_inverse(np.zeros(64), -0.1, g)
     with pytest.raises(ValueError):
         helmholtz_apply_inverse(np.zeros(65), 0.5, g)
+    with pytest.raises(ValueError):
+        helmholtz_apply_inverse(np.zeros((2, 2, 64)), 0.5, g)
 
 
 # ---- semidiscrete rates ------------------------------------------------
@@ -445,7 +466,7 @@ def test_error_norm_validation():
 @pytest.fixture(scope="module")
 def study():
     cfg = small_config(t_end=4.0, snapshot_times=(1.0, 2.0, 3.0, 4.0))
-    return error_study(cfg, [0.1, 0.05], workers=1)
+    return error_study(cfg, [0.1, 0.05])
 
 
 def test_error_study_series_shapes(study):
@@ -470,12 +491,15 @@ def test_error_study_gains_are_linear_in_epsilon(study):
         assert fit.n_points >= 2
 
 
-def test_error_study_parallel_matches_serial(study):
+def test_error_study_matches_standalone_runs(study):
+    # The batched study must reproduce separate evolve() runs bit for bit.
     cfg = small_config(t_end=4.0, snapshot_times=(1.0, 2.0, 3.0, 4.0))
-    parallel = error_study(cfg, [0.1, 0.05], workers=2)
-    for a, b in zip(study.series, parallel.series):
-        assert np.array_equal(a.y, b.y)
-    assert parallel.fits[0].gain == study.fits[0].gain
+    reference = evolve(replace(cfg, epsilon=0.0))
+    for series in study.series:
+        runs = evolve(replace(cfg, epsilon=series.epsilon))
+        y = [error_norm(a, b, cfg.grid) for a, b in zip(runs, reference)]
+        assert np.array_equal(series.y, y)
+        assert np.array_equal(series.times, [s.t for s in reference])
 
 
 def test_error_study_validation():
@@ -487,6 +511,10 @@ def test_error_study_validation():
     bare = small_config(t_end=2.0)
     with pytest.raises(ConfigError):
         error_study(bare, [0.1])
+    inviscid = small_config(system="peregrine-inviscid", epsilon=0.0,
+                            t_end=2.0, snapshot_times=(1.0, 2.0))
+    with pytest.raises(ConfigError, match="peregrine-dissipative"):
+        error_study(inviscid, [0.1])
 
 
 def test_error_study_without_fit_window_raises():
