@@ -2,7 +2,7 @@
 
 Modules by task:
     waveform        exact algebra of the profile reduction
-    radau           the implicit integrator used for profiles
+    radau           a Radau IIA integrator; profiles now use scipy's LSODA
     traveling_wave  profile computation, shape reports, invariant checks
     pde             method-of-lines evolution, error studies, front tracking
     config          config-file parsing and named presets
@@ -41,6 +41,7 @@ from .traveling_wave import (
     Profile,
     ProfileOptions,
     ShapeReport,
+    SolverRecord,
     check_derivative_bounds,
     check_triangle_confinement,
     energy_identity_residual,
@@ -86,7 +87,5 @@ from .pde import (
     write_snapshot_manifest,
 )
 from .config import load_config, parse_config_text, preset_pairs, write_config
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

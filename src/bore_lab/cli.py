@@ -133,7 +133,7 @@ def cmd_profile(args) -> int:
     profile = integrate_profile(params, options)
     report = shape_report(profile)
     write_profile_csv(profile, out_dir / "profile.csv")
-    write_shape_report_json(report, out_dir / "shape.json")
+    write_shape_report_json(report, out_dir / "shape.json", profile.solver)
     (out_dir / "plot.gp").write_text(_PROFILE_PLOT)
     print(f"wrote {out_dir / 'profile.csv'} ({profile.xi.size} samples, "
           f"{report.regime_observed})")

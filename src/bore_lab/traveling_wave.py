@@ -18,24 +18,29 @@ forward amplifies transverse noise like exp((lambda_plus - lambda_minus) xi),
 so its span is capped where that amplification would reach one percent of
 the decaying signal.
 
-Sampling density is tied to the fastest linear rate of the problem so the
-exported samples support trapezoid quadrature of the dissipation integral
-to the documented 1e-3 and robust bracketing of extrema.  Extrema and
-inflections are refined by secant iteration on a local cubic interpolant
-through neighboring samples (tolerance 1e-12 on the bracket).
+Both sweeps run scipy's LSODA (Adams/BDF with automatic stiffness
+switching, Petzold 1983) with the analytic Jacobian, one step at a time,
+so rtol/atol alone set the steps.  The exported samples lie on a uniform
+grid in xi, evaluated from the dense output of the step that covers each
+grid point.  The grid spacing is tied to the slow linear rates, |lambda_minus|
+and the upstream rate, not to the fast node eigenvalue of a regularized
+tail: that one grows like 1/delta, and the backward orbit has no structure
+on its scale.  The grid supports trapezoid quadrature of the dissipation
+integral to the documented 1e-3 and robust bracketing of extrema.  Extrema
+and inflections are refined by secant iteration on a local cubic
+interpolant through neighboring samples (tolerance 1e-12 on the bracket).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import IntegrationError, NumericsError
-from .radau import RadauStepper
 from .waveform import (
     ComplexConjugate,
     RealPair,
@@ -51,9 +56,9 @@ from .waveform import (
     tail_eigenvalues,
 )
 
-# Sample spacing = _STEP_FRACTION / (fastest linear rate); keeps the
-# trapezoid dissipation error below 1e-3 and gives ~40 samples per
-# oscillation period.
+# Sample spacing = _STEP_FRACTION / (slow linear rate, see _slow_rate);
+# keeps the trapezoid dissipation error below 1e-3 and gives at least
+# 2 pi / _STEP_FRACTION ~ 157 samples per oscillation period.
 _STEP_FRACTION = 0.04
 _CORE_FACTOR = 10.0  # extrema/inflection counting ignores the last decades of tail
 _FIT_CEILING = 1e-3  # tail fits use samples within this fraction of the jump
@@ -73,7 +78,7 @@ class ProfileOptions:
 
     seed_offset: distance |u| of the stable-manifold seed from the origin;
     None picks 1e-8 * u_tail.  tail_tol is the upstream stopping tolerance,
-    max_span aborts runaway sweeps, rtol/atol go to the integrator.
+    max_span aborts runaway sweeps, rtol/atol (both > 0) go to the solver.
     """
 
     seed_offset: Optional[float] = None
@@ -82,6 +87,31 @@ class ProfileOptions:
     max_span: float = 2000.0
     tail_tol: float = 1e-8
 
+    def __post_init__(self):
+        if not (self.rtol > 0.0 and self.atol > 0.0):
+            raise ValueError(
+                f"tolerances must be positive, got rtol = {self.rtol}, atol = {self.atol}"
+            )
+
+
+@dataclass(frozen=True)
+class SolverRecord:
+    """What the profile sweep did; written as the solver block of shape.json.
+
+    steps, rhs_evals and jac_evals add up the backward sweep and the
+    forward stretch.  stop names the rule that ended the backward sweep:
+    "tail_tol" (monotone) or "shrinking_peaks" (oscillatory).
+    """
+
+    method: str
+    steps: int
+    rhs_evals: int
+    jac_evals: int
+    samples: int
+    xi_span: Tuple[float, float]
+    seed_offset: float
+    stop: str
+
 
 @dataclass
 class Profile:
@@ -89,7 +119,8 @@ class Profile:
 
     u decays to 0 on the right and approaches u_tail on the left; eta is
     the reconstructed surface elevation u / (c - u).  seed_offset records
-    the offset actually used.
+    the offset actually used; solver records what the sweep did (None for
+    a profile assembled from stored samples).
     """
 
     params: WaveParams
@@ -99,6 +130,7 @@ class Profile:
     eta: np.ndarray
     seed_offset: float
     options: ProfileOptions = field(default_factory=ProfileOptions)
+    solver: Optional[SolverRecord] = None
 
 
 @dataclass(frozen=True)
@@ -179,16 +211,56 @@ def manifold_seed(params: WaveParams, offset: float) -> PhasePoint:
     return PhasePoint(xi=0.0, u=offset, v=params.delta * params.c * lam_minus * offset)
 
 
-def _rate_scales(params: WaveParams):
-    """(fastest rate, oscillation frequency or None) of the linearizations."""
+def _slow_rate(params: WaveParams):
+    """(slowest structural rate of the orbit, linearization data).
+
+    The larger of |lambda_minus| (the downstream decay) and the upstream
+    rate: the slow node eigenvalue of a real tail pair, the modulus of a
+    complex one.  The fast node eigenvalue grows like 1/delta but sets no
+    scale of the backward orbit, so it is left out.
+    """
     spec = tail_eigenvalues(params)
     if isinstance(spec.tail, ComplexConjugate):
         tail_rate = math.hypot(spec.tail.real, spec.tail.imag)
-        freq = spec.tail.imag
     else:
-        tail_rate = spec.tail.plus
-        freq = None
-    return max(abs(spec.lambda_minus), tail_rate), freq, spec
+        tail_rate = spec.tail.minus
+    return max(abs(spec.lambda_minus), tail_rate), spec
+
+
+class _GridSweep:
+    """LSODA driven one step at a time, sampled at tau = k * spacing.
+
+    Iterating yields (tau, y) for k = 1, 2, ... in order, evaluated from
+    the dense output of the step that covers tau, until the solver reaches
+    t_end.  steps counts the accepted steps taken so far.
+    """
+
+    def __init__(self, fun, jac, y0, t_end, spacing, opts: ProfileOptions):
+        # Imported here so that commands without a profile never load
+        # scipy.integrate (~2.5 MiB of resident memory).
+        from scipy.integrate import LSODA
+
+        self.solver = LSODA(fun, 0.0, y0, t_end, rtol=opts.rtol, atol=opts.atol, jac=jac)
+        self.spacing = spacing
+        self.steps = 0
+
+    def __iter__(self):
+        solver, spacing = self.solver, self.spacing
+        k = 1
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise IntegrationError(f"LSODA broke down at tau = {solver.t:.6g}: {message}")
+            self.steps += 1
+            # The tolerance lets the last grid point of a span that ends on
+            # the grid survive rounding of t_end / spacing.
+            last = int(math.floor(solver.t / spacing + 1e-9))
+            if last < k:
+                continue
+            taus = spacing * np.arange(k, last + 1)
+            ys = solver.dense_output()(taus)
+            k = last + 1
+            yield from zip(taus.tolist(), ys.T)
 
 
 def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = None) -> Profile:
@@ -197,7 +269,7 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     Raises ValueError for epsilon = 0 (the dissipationless system has no
     bore-type traveling wave: the orbit through the seed is homoclinic and
     never settles on the upstream state) and IntegrationError when the
-    sweep exhausts max_span, the stepper breaks down, or the orbit strays
+    sweep exhausts max_span, the solver breaks down, or the orbit strays
     next to the singular line u = c.
     """
     if params.epsilon <= 0.0:
@@ -211,80 +283,77 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     offset = opts.seed_offset if opts.seed_offset is not None else 1e-8 * u0
     seed = manifold_seed(params, offset)
     regime = classify_regime(params)
-    rate, _, spec = _rate_scales(params)
-    max_step = _STEP_FRACTION / rate
+    rate, spec = _slow_rate(params)
+    spacing = _STEP_FRACTION / rate
     y_seed = np.array([seed.u, seed.v])
 
     def f_back(t, y):
-        return -_field(np.asarray(y, dtype=float), params)
+        return -_field(y, params)
 
     def j_back(t, y):
         return -_jacobian(y, params)
 
     def f_fwd(t, y):
-        return _field(np.asarray(y, dtype=float), params)
+        return _field(y, params)
 
     def j_fwd(t, y):
         return _jacobian(y, params)
 
     # Backward sweep: reversed field integrated forward in tau = -xi.
-    stepper = RadauStepper(
-        f_back, j_back, 0.0, y_seed, rtol=opts.rtol, atol=opts.atol,
-        max_step=max_step, first_step=1e-3 / rate,
-    )
+    back = _GridSweep(f_back, j_back, y_seed, opts.max_span, spacing, opts)
     taus = [0.0]
-    ys = [y_seed.copy()]
+    ys = [y_seed]
     dev_peaks: List[float] = []
     oscillatory = regime.kind is RegimeKind.OSCILLATORY
-    while True:
-        res = stepper.step()
-        taus.append(res.t_new)
-        ys.append(res.y_new)
-        u_new, v_new = res.y_new
+    stop = None
+    for tau, y in back:
+        taus.append(tau)
+        ys.append(y)
+        u_new, v_new = y
         if u_new > params.c - 1e-9 * params.c:
             raise IntegrationError(
-                f"orbit approached the singular line u = c at xi = {-res.t_new}"
+                f"orbit approached the singular line u = c at xi = {-tau}"
             )
         dev_new = abs(u_new - u0)
         if not oscillatory:
             if dev_new + abs(v_new) < opts.tail_tol:
+                stop = "tail_tol"
                 break
-        else:
-            if len(ys) >= 3:
-                d2 = abs(ys[-2][0] - u0)
-                d3 = abs(ys[-3][0] - u0)
-                if d2 >= dev_new and d2 > d3:
-                    dev_peaks.append(d2)
-                    if (
-                        len(dev_peaks) >= 3
-                        and dev_peaks[-1] < opts.tail_tol
-                        and dev_peaks[-3] > dev_peaks[-2] > dev_peaks[-1]
-                    ):
-                        break
-        if res.t_new > opts.max_span:
-            raise IntegrationError(
-                f"upstream state not reached within max_span = {opts.max_span}; "
-                f"|u - u_tail| = {dev_new:.3e} at xi = {-res.t_new:.1f}"
-            )
+        elif len(ys) >= 3:
+            d2 = abs(ys[-2][0] - u0)
+            d3 = abs(ys[-3][0] - u0)
+            if d2 >= dev_new and d2 > d3:
+                dev_peaks.append(d2)
+                if (
+                    len(dev_peaks) >= 3
+                    and dev_peaks[-1] < opts.tail_tol
+                    and dev_peaks[-3] > dev_peaks[-2] > dev_peaks[-1]
+                ):
+                    stop = "shrinking_peaks"
+                    break
+    if stop is None:
+        raise IntegrationError(
+            f"upstream state not reached within max_span = {opts.max_span}; "
+            f"|u - u_tail| = {abs(ys[-1][0] - u0):.3e} at xi = {-taus[-1]:.1f}"
+        )
 
     # Forward stretch: capped where transverse noise would reach 1% of the
-    # decaying signal (growth ~ exp((lambda_plus - lambda_minus) xi)).
+    # decaying signal (growth ~ exp((lambda_plus - lambda_minus) xi)).  At
+    # least eight samples, evenly spaced and ending on fwd_span.
     lam_minus, lam_plus = spec.lambda_minus, spec.lambda_plus
     fwd_span = min(6.0 / abs(lam_minus), math.log(0.01 / opts.rtol) / (lam_plus - lam_minus))
-    stepper_f = RadauStepper(
-        f_fwd, j_fwd, 0.0, y_seed, rtol=opts.rtol, atol=opts.atol,
-        max_step=min(max_step, fwd_span / 8.0), first_step=1e-3 / rate,
-    )
     taus_f = []
     ys_f = []
-    while fwd_span - stepper_f.t > 1e-9 / rate:
-        if stepper_f.t + stepper_f.h > fwd_span:
-            stepper_f.h = fwd_span - stepper_f.t
-        res = stepper_f.step()
-        if res.y_new[0] <= 0.0:
-            break
-        taus_f.append(res.t_new)
-        ys_f.append(res.y_new)
+    sweeps = [back]
+    if fwd_span > 0.0:
+        n_fwd = max(8, math.ceil(fwd_span / spacing))
+        fwd = _GridSweep(f_fwd, j_fwd, y_seed, fwd_span, fwd_span / n_fwd, opts)
+        sweeps.append(fwd)
+        for tau, y in fwd:
+            if y[0] <= 0.0:
+                break
+            taus_f.append(tau)
+            ys_f.append(y)
 
     xi = np.concatenate([-np.array(taus[::-1]), np.array(taus_f)])
     y_all = np.vstack([np.array(ys[::-1]), np.array(ys_f)]) if ys_f else np.array(ys[::-1])
@@ -304,6 +373,16 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     xi = xi - shift
 
     eta = surface_elevation(u_arr, params.c)
+    record = SolverRecord(
+        method="LSODA",
+        steps=sum(s.steps for s in sweeps),
+        rhs_evals=sum(s.solver.nfev for s in sweeps),
+        jac_evals=sum(int(s.solver.njev) for s in sweeps),
+        samples=int(xi.size),
+        xi_span=(float(xi[0]), float(xi[-1])),
+        seed_offset=offset,
+        stop=stop,
+    )
     return Profile(
         params=params,
         xi=xi,
@@ -312,6 +391,7 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
         eta=np.asarray(eta, dtype=float),
         seed_offset=offset,
         options=opts,
+        solver=record,
     )
 
 
@@ -623,7 +703,11 @@ def shape_report_dict(report: ShapeReport) -> dict:
     }
 
 
-def write_shape_report_json(report: ShapeReport, path) -> None:
+def write_shape_report_json(report: ShapeReport, path, solver: Optional[SolverRecord] = None) -> None:
+    """Write the report as JSON, with a "solver" block when solver is given."""
+    data = shape_report_dict(report)
+    if solver is not None:
+        data["solver"] = asdict(solver)
     with open(path, "w") as fh:
-        json.dump(shape_report_dict(report), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")

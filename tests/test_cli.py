@@ -124,6 +124,32 @@ def test_profile_rejects_undamped_parameters(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--rtol", "--atol"])
+def test_profile_rejects_zero_tolerance(flag, tmp_path, capsys):
+    rc = main(["profile", "--preset", "fig2", flag, "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "tolerances must be positive" in capsys.readouterr().err
+
+
+def test_profile_exhausted_span_exits_3(tmp_path, capsys):
+    rc = main(["profile", "--preset", "fig2", "--max-span", "5",
+               "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "max_span" in capsys.readouterr().err
+
+
+def test_profile_records_solver_block(profile_dir):
+    solver = json.loads((profile_dir / "shape.json").read_text())["solver"]
+    assert set(solver) == {"method", "steps", "rhs_evals", "jac_evals", "samples",
+                           "xi_span", "seed_offset", "stop"}
+    rows = (profile_dir / "profile.csv").read_text().splitlines()[1:]
+    assert solver["samples"] == len(rows)
+    assert solver["method"] == "LSODA"
+    assert solver["stop"] == "tail_tol"
+    assert solver["xi_span"] == [float(rows[0].split(",")[0]),
+                                 float(rows[-1].split(",")[0])]
+
+
 # ---- speed-amplitude ---------------------------------------------------
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bore_lab import (
+    IntegrationError,
     Profile,
     ProfileOptions,
     WaveParams,
@@ -114,6 +115,19 @@ def test_manifold_seed_offset_validation():
 def test_integrate_profile_rejects_zero_damping():
     with pytest.raises(ValueError):
         integrate_profile(WaveParams(1.3, 0.2, 0.0))
+
+
+@pytest.mark.parametrize(
+    "rtol,atol", [(0.0, 1e-12), (-1e-10, 1e-12), (1e-10, 0.0), (math.nan, 1e-12)]
+)
+def test_options_reject_nonpositive_tolerances(rtol, atol):
+    with pytest.raises(ValueError):
+        ProfileOptions(rtol=rtol, atol=atol)
+
+
+def test_exhausted_span_raises():
+    with pytest.raises(IntegrationError, match="max_span"):
+        integrate_profile(MONO, ProfileOptions(max_span=5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +292,27 @@ def test_dissipated_energy_scale_free(mono_profile):
 
 
 # ---------------------------------------------------------------------------
+# vanishing dispersion: the sample count follows the slow scales
+
+
+def test_small_delta_profile_is_cheap_and_certified():
+    params = WaveParams(1.3, 1e-3, 1.2)
+    profile = integrate_profile(params)
+    opts = profile.options
+    assert profile.xi.size <= 20_000
+    assert energy_identity_residual(profile) < 1e-3
+    assert lyapunov_backstep(profile) <= 10.0 * (opts.rtol + opts.atol)
+    assert check_derivative_bounds(profile).passed
+    assert check_triangle_confinement(profile).passed
+
+
+def test_sample_count_does_not_grow_as_delta_shrinks(mono_profile):
+    wide = mono_profile.xi.size  # delta = 0.2
+    narrow = integrate_profile(WaveParams(MONO.c, 0.02, MONO.epsilon)).xi.size
+    assert max(wide, narrow) <= 1.5 * min(wide, narrow)
+
+
+# ---------------------------------------------------------------------------
 # regime boundary
 
 
@@ -314,6 +349,18 @@ def test_custom_seed_offset_converges_to_same_front(mono_profile):
     ua = np.interp(grid, mono_profile.xi, mono_profile.u)
     ub = np.interp(grid, alt.xi, alt.u)
     assert np.max(np.abs(ua - ub)) < 1e-6
+
+
+def test_solver_record_describes_the_samples(mono_profile, osc_profile):
+    for profile, stop in ((mono_profile, "tail_tol"), (osc_profile, "shrinking_peaks")):
+        record = profile.solver
+        assert record.method == "LSODA"
+        assert record.stop == stop
+        assert record.samples == profile.xi.size
+        assert record.xi_span == (profile.xi[0], profile.xi[-1])
+        assert record.seed_offset == profile.seed_offset
+        assert 0 < record.steps <= record.rhs_evals
+        assert record.jac_evals >= 0
 
 
 def test_profile_csv_round_trip(tmp_path, mono_profile):
