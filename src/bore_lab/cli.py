@@ -148,17 +148,17 @@ def cmd_speed_amplitude(args) -> int:
     if args.n < 2:
         raise ConfigError(f"need at least 2 rows, got {args.n}")
     out = Path(args.out)
-    speeds = np.linspace(args.c_min, args.c_max, args.n)
-    with open(out, "w") as fh:
-        fh.write("c,eta_tail,eta_solitary,eta_T1994_inverse\n")
-        for c in speeds:
-            c = float(c)
-            eq = equilibria(WaveParams(c, 1.0, 0.0))
-            eta_bar = surface_elevation(solitary_amplitude(c), c)
-            fh.write(
-                f"{c:.17g},{eq.eta_tail:.17g},{eta_bar:.17g},"
-                f"{empirical_bore_amplitude(c):.17g}\n"
-            )
+    rows = [
+        (
+            c,
+            equilibria(WaveParams(c, 1.0, 0.0)).eta_tail,
+            surface_elevation(solitary_amplitude(c), c),
+            empirical_bore_amplitude(c),
+        )
+        for c in np.linspace(args.c_min, args.c_max, args.n).tolist()
+    ]
+    np.savetxt(out, rows, fmt="%.17g", delimiter=",",
+               header="c,eta_tail,eta_solitary,eta_T1994_inverse", comments="")
     print(f"wrote {out} ({args.n} rows)")
     return 0
 
@@ -360,10 +360,8 @@ def _export_potential(pairs: dict, out_dir: Path) -> None:
     u_bar = solitary_amplitude(params.c)
     u_hi = u_bar + 0.25 * (params.c - u_bar)
     grid = np.linspace(-0.4, u_hi, 801)
-    with open(out_dir / "potential.csv", "w") as fh:
-        fh.write("u,G\n")
-        for u in grid:
-            fh.write(f"{u:.17g},{potential(float(u), params):.17g}\n")
+    np.savetxt(out_dir / "potential.csv", np.column_stack([grid, potential(grid, params)]),
+               fmt="%.17g", delimiter=",", header="u,G", comments="")
     (out_dir / "potential.gp").write_text(_POTENTIAL_PLOT)
 
 

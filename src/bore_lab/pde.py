@@ -233,8 +233,14 @@ def helmholtz_apply_inverse(rhs: np.ndarray, delta: float, grid: Grid) -> np.nda
 # ---------------------------------------------------------------------------
 # semidiscrete rates
 
-def _peregrine_rates(eta, u, delta, epsilon, grid):
-    # epsilon is a scalar, or an (m, 1) column with one value per batch row.
+def semidiscrete_rhs_peregrine(
+    eta: np.ndarray, u: np.ndarray, delta: float, epsilon, grid: Grid
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Time derivatives (eta_t, u_t) of the dispersive-dissipative system.
+
+    eta and u are (n,) or (m, n) arrays; epsilon is a scalar, or an (m, 1)
+    column with one value per batch row.
+    """
     if np.min(eta) <= -1.0:
         raise NumericsError("vacuum state: 1 + eta reached zero")
     eta_rate = first_difference((-1.0 - eta) * u, grid, parity=-1)
@@ -245,15 +251,6 @@ def _peregrine_rates(eta, u, delta, epsilon, grid):
     if np.any(epsilon != 0.0):
         forcing += epsilon * second_difference(u, grid, parity=-1)
     return eta_rate, helmholtz_apply_inverse(forcing, delta, grid)
-
-
-def semidiscrete_rhs_peregrine(
-    state: FieldPair, delta: float, epsilon: float, grid: Grid
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (eta_t, u_t) of the dispersive-dissipative system."""
-    if state.eta.size != grid.n:
-        raise ValueError("state does not match grid")
-    return _peregrine_rates(state.eta, state.u, delta, epsilon, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +306,11 @@ def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> FieldPair:
     grid, dt = config.grid, config.dt
     d, e = config.delta, epsilon
     eta, u = state.eta, state.u
-    k1e, k1u = _peregrine_rates(eta, u, d, e, grid)
-    k2e, k2u = _peregrine_rates(eta + 0.5 * dt * k1e, u + 0.5 * dt * k1u, d, e, grid)
-    k3e, k3u = _peregrine_rates(eta + 0.5 * dt * k2e, u + 0.5 * dt * k2u, d, e, grid)
-    k4e, k4u = _peregrine_rates(eta + dt * k3e, u + dt * k3u, d, e, grid)
+    rates = semidiscrete_rhs_peregrine
+    k1e, k1u = rates(eta, u, d, e, grid)
+    k2e, k2u = rates(eta + 0.5 * dt * k1e, u + 0.5 * dt * k1u, d, e, grid)
+    k3e, k3u = rates(eta + 0.5 * dt * k2e, u + 0.5 * dt * k2u, d, e, grid)
+    k4e, k4u = rates(eta + dt * k3e, u + dt * k3u, d, e, grid)
     # Sum k1 + 2 k2 + 2 k3 + k4 into k2 in place: no temporaries.
     for y, k1, k2, k3, k4 in ((eta, k1e, k2e, k3e, k4e), (u, k1u, k2u, k3u, k4u)):
         k2 += k3
@@ -361,17 +359,24 @@ def _rusanov_step(state: FieldPair, config: RunConfig) -> FieldPair:
     return FieldPair(eta - lam * d1, u - lam * d2, state.t + dt)
 
 
-def _finite(out: FieldPair) -> FieldPair:
+def _checked(out: FieldPair, config: RunConfig) -> FieldPair:
+    """out, after checking it is finite and that dt still meets cfl_bound."""
     if not (np.all(np.isfinite(out.eta)) and np.all(np.isfinite(out.u))):
         raise NumericsError(f"non-finite field values at t = {out.t:.6g}")
+    bound = cfl_bound(out, config.grid)
+    if bound < config.dt:
+        raise NumericsError(
+            f"advective bound {bound:.6g} fell below dt = {config.dt} at t = {out.t:.6g}"
+        )
     return out
 
 
 def step(state: FieldPair, config: RunConfig) -> FieldPair:
-    """Advance one dt; raises NumericsError on blow-up or vacuum."""
+    """Advance one dt; raises NumericsError on blow-up, vacuum, or a step
+    that the advective bound of the new state no longer admits."""
     if config.system is SystemKind.SHALLOW_WATER:
-        return _finite(_rusanov_step(state, config))
-    return _finite(_rk4_step(state, config, config.epsilon))
+        return _checked(_rusanov_step(state, config), config)
+    return _checked(_rk4_step(state, config, config.epsilon), config)
 
 
 def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[FieldPair]:
@@ -381,8 +386,7 @@ def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[Field
     requested times the final state alone is returned.  Deterministic:
     the same config always produces bit-identical snapshots.  initial
     replaces the configured initial condition (used to seed a run with an
-    interpolated traveling-wave profile); the caller then owns the CFL
-    margin.
+    interpolated traveling-wave profile).
     """
     if initial is None:
         state = make_initial(config.ic, config.grid)
@@ -492,7 +496,7 @@ def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudy
     batch = FieldPair(np.tile(init.eta, (runs, 1)), np.tile(init.u, (runs, 1)))
     column = np.array([0.0] + [float(e) for e in epsilons])[:, None]
     snapshots = _march(
-        batch, base_config, lambda s: _finite(_rk4_step(s, base_config, column))
+        batch, base_config, lambda s: _checked(_rk4_step(s, base_config, column), base_config)
     )
     reference, *dissipative = (
         [FieldPair(s.eta[r], s.u[r], s.t) for s in snapshots] for r in range(runs)
@@ -609,11 +613,8 @@ def shape_misfit(
 # export
 
 def write_snapshot_csv(state: FieldPair, grid: Grid, path) -> None:
-    x = grid.x
-    with open(path, "w") as fh:
-        fh.write("x,eta,u\n")
-        for i in range(grid.n):
-            fh.write(f"{x[i]:.17g},{state.eta[i]:.17g},{state.u[i]:.17g}\n")
+    np.savetxt(path, np.column_stack([grid.x, state.eta, state.u]), fmt="%.17g",
+               delimiter=",", header="x,eta,u", comments="")
 
 
 def snapshot_manifest(config: RunConfig, state: FieldPair) -> dict:
@@ -634,7 +635,5 @@ def write_snapshot_manifest(config: RunConfig, state: FieldPair, path) -> None:
 
 
 def write_error_series_csv(series: ErrorSeries, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,y\n")
-        for t, y in zip(series.times, series.y):
-            fh.write(f"{t:.17g},{y:.17g}\n")
+    np.savetxt(path, np.column_stack([series.times, series.y]), fmt="%.17g",
+               delimiter=",", header="t,y", comments="")

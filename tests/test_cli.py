@@ -245,6 +245,17 @@ def test_evolve_cfl_check(tmp_path, capsys):
     assert "advective bound" in capsys.readouterr().err
 
 
+def test_evolve_cfl_breach_mid_run_exits_3(tmp_path, capsys):
+    # dt passes the initial screen; the crests behind the front break the
+    # bound near t = 1.7 (see test_pde's check at every step).
+    text = (SMALL_RUN.replace("dx = 0.25", "dx = 0.5\nboundary = reflective")
+            .replace("dt = 0.025", "dt = 0.19").replace("t_end = 6", "t_end = 30")
+            .replace("snapshot_times = 0,3,6", "snapshot_times = 30"))
+    conf = write_small_config(tmp_path, text)
+    assert main(["evolve", "--config", conf, "--out-dir", str(tmp_path / "o")]) == 3
+    assert "fell below dt = 0.19" in capsys.readouterr().err
+
+
 def test_evolve_rejects_profile_config(tmp_path, capsys):
     conf = tmp_path / "wave.conf"
     conf.write_text("preset = fig2\n")

@@ -230,7 +230,7 @@ def test_helmholtz_validation():
 def test_rest_state_has_zero_rates():
     g = periodic_grid(64)
     state = FieldPair(np.zeros(64), np.zeros(64))
-    eta_t, u_t = semidiscrete_rhs_peregrine(state, 1.0, 0.1, g)
+    eta_t, u_t = semidiscrete_rhs_peregrine(state.eta, state.u, 1.0, 0.1, g)
     assert np.all(eta_t == 0.0)
     assert np.all(u_t == 0.0)
 
@@ -240,7 +240,7 @@ def test_mass_equation_rate_matches_exact_flux():
     g = periodic_grid(256)
     a = 0.1
     state = FieldPair(np.zeros(g.n), a * np.sin(g.x))
-    eta_t, _ = semidiscrete_rhs_peregrine(state, 1.0, 0.0, g)
+    eta_t, _ = semidiscrete_rhs_peregrine(state.eta, state.u, 1.0, 0.0, g)
     assert np.max(np.abs(eta_t + a * np.cos(g.x))) < 1e-8
 
 
@@ -250,7 +250,7 @@ def test_momentum_rate_satisfies_helmholtz_equation():
     g = periodic_grid(256)
     delta, eps = 0.8, 0.2
     state = FieldPair(0.1 * np.cos(g.x), 0.05 * np.sin(2.0 * g.x))
-    _, u_t = semidiscrete_rhs_peregrine(state, delta, eps, g)
+    _, u_t = semidiscrete_rhs_peregrine(state.eta, state.u, delta, eps, g)
     lhs = u_t - delta * second_difference(u_t, g, parity=-1)
     rhs = (
         -first_difference(state.eta, g, parity=1)
@@ -264,14 +264,12 @@ def test_vacuum_state_raises():
     g = periodic_grid(64)
     state = FieldPair(np.full(64, -1.5), np.zeros(64))
     with pytest.raises(NumericsError, match="vacuum"):
-        semidiscrete_rhs_peregrine(state, 1.0, 0.1, g)
+        semidiscrete_rhs_peregrine(state.eta, state.u, 1.0, 0.1, g)
 
 
 def test_rhs_grid_mismatch():
     with pytest.raises(ValueError):
-        semidiscrete_rhs_peregrine(
-            FieldPair(np.zeros(64), np.zeros(64)), 1.0, 0.0, periodic_grid(128)
-        )
+        semidiscrete_rhs_peregrine(np.zeros(64), np.zeros(64), 1.0, 0.0, periodic_grid(128))
 
 
 # ---- run configuration -------------------------------------------------
@@ -410,14 +408,28 @@ def test_initial_override_size_check():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_raises_numerics_error():
-    # The override skips the constructor's CFL screen; a fast field under
-    # RK4 at this step size drains eta below -1 or overflows within a few
-    # steps, and either failure surfaces as NumericsError.
+    # The override skips the constructor's CFL screen; the first step's
+    # bound check, a vacuum or an overflow of this fast field each surface
+    # as NumericsError.
     cfg = small_config(ic=Gaussian(0.0, 10.0), t_end=2.0)
     n = cfg.grid.n
     wild = FieldPair(np.zeros(n), 50.0 * np.sin(2.0 * math.pi * np.arange(n) / n))
     with pytest.raises(NumericsError):
         evolve(cfg, initial=wild)
+
+
+def test_cfl_bound_is_checked_at_every_step():
+    # The initial screen passes with a 5% margin, but the crests behind the
+    # front raise max|u| until the bound drops below dt (0.179 at t = 30).
+    g = Grid(-100.0, 100.0, 400, "reflective")
+    ic = SmoothedRiemann(0.5)
+    dt = 0.95 * cfl_bound(make_initial(ic, g), g)
+    cfg = RunConfig("peregrine-dissipative", g, ic, dt, 30.0, delta=1.0,
+                    epsilon=0.1, snapshot_times=(5.0, 30.0))
+    with pytest.raises(NumericsError, match=r"bound .* fell below dt = .* at t = 1\.3"):
+        evolve(cfg)
+    with pytest.raises(NumericsError, match="fell below dt"):
+        error_study(cfg, [0.1])
 
 
 # ---- norms -------------------------------------------------------------

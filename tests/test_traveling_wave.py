@@ -36,6 +36,7 @@ from bore_lab import (
     write_profile_csv,
     write_shape_report_json,
 )
+from bore_lab import traveling_wave
 from bore_lab.waveform import critical_epsilon, dissipated_energy, lyapunov_value
 
 MONO = WaveParams(1.3, 0.2, 1.2)
@@ -234,6 +235,20 @@ def test_osc_tail_envelope_and_frequency(osc_shape):
     assert osc_shape.tail_decay_rate_plus == pytest.approx(lam_minus, rel=1e-2)
     assert osc_shape.tail_decay_rate_minus == pytest.approx(spec.tail.real, rel=2e-2)
     assert osc_shape.tail_frequency == pytest.approx(spec.tail.imag, rel=2e-2)
+
+
+def test_osc_features_agree_with_denser_sampling(osc_shape, monkeypatch):
+    # The sampling does not steer the solver, so a 10x denser grid samples
+    # the same orbit: features may move only by the interpolation error.
+    monkeypatch.setattr(traveling_wave, "_STEP_FRACTION", 0.004)
+    dense = shape_report(integrate_profile(OSC))
+    for key in ("maxima", "minima"):
+        a, b = np.array(getattr(osc_shape, key)), np.array(getattr(dense, key))
+        assert a.shape == b.shape
+        assert np.max(np.abs(a[:, 0] - b[:, 0])) < 3e-8
+    a, b = np.array(osc_shape.inflections), np.array(dense.inflections)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) < 3e-8
 
 
 def test_osc_triangle_check_refuses(osc_profile):
