@@ -30,6 +30,7 @@ from .config import (
     preset_note,
     preset_pairs,
 )
+from .csvio import write_csv
 from .errors import ConfigError, NumericsError
 from .pde import (
     RunConfig,
@@ -157,8 +158,7 @@ def cmd_speed_amplitude(args) -> int:
         )
         for c in np.linspace(args.c_min, args.c_max, args.n).tolist()
     ]
-    np.savetxt(out, rows, fmt="%.17g", delimiter=",",
-               header="c,eta_tail,eta_solitary,eta_T1994_inverse", comments="")
+    write_csv(out, "c,eta_tail,eta_solitary,eta_T1994_inverse", np.transpose(rows))
     print(f"wrote {out} ({args.n} rows)")
     return 0
 
@@ -360,8 +360,7 @@ def _export_potential(pairs: dict, out_dir: Path) -> None:
     u_bar = solitary_amplitude(params.c)
     u_hi = u_bar + 0.25 * (params.c - u_bar)
     grid = np.linspace(-0.4, u_hi, 801)
-    np.savetxt(out_dir / "potential.csv", np.column_stack([grid, potential(grid, params)]),
-               fmt="%.17g", delimiter=",", header="u,G", comments="")
+    write_csv(out_dir / "potential.csv", "u,G", [grid, potential(grid, params)])
     (out_dir / "potential.gp").write_text(_POTENTIAL_PLOT)
 
 
@@ -472,3 +471,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

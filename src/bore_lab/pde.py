@@ -7,6 +7,15 @@ derivative term induces on u_t.  Time stepping is classical RK4; the
 elliptic solve removes the third-derivative stiffness so the remaining CFL
 restriction is advective.
 
+Each RK4 stage evaluates the rate in one pass over a workspace cached per
+(grid, batch shape).  A padded (3, ..., n + 4) buffer holds the rows
+(-1 - eta) u, u and eta, two ghost cells at each end; the stage input is
+written into its interior, one five-point stencil pass gives the three
+first differences into that stage's (3, ..., n) rate buffer, and the
+second difference of u is read from the same padded row.  Row 0 of the
+rate buffer ends as eta_t; row 1 is built into the momentum forcing and
+solved in place to u_t; row 2 is scratch.
+
 A first-order finite-volume solver for the dispersionless shallow-water
 reduction lives here as well, used as the classical-shock reference.
 """
@@ -24,6 +33,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .csvio import write_csv
 from .errors import ConfigError, NumericsError
 
 
@@ -202,14 +212,19 @@ class _HelmholtzSolver:
             self._p = p = self.solve(w)
             self._gain = q / (1.0 - q * (p[0] + p[-1]))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # dpttrs solves each column of the (n, m) transpose: one row at a time.
-        z, info = dpttrs(self._d, self._e, rhs.reshape(-1, rhs.shape[-1]).T)
+    def solve(self, z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+        """Overwrite z, a C-contiguous (n,) or (m, n) rhs, with the solution.
+
+        scratch, shaped like z, holds the periodic correction term; without
+        it that term is allocated.
+        """
+        # The (n, m) transpose is Fortran-ordered, so dpttrs solves each
+        # column, one row of z, in z's own memory.
+        _, info = dpttrs(self._d, self._e, z.reshape(-1, z.shape[-1]).T, overwrite_b=1)
         if info != 0:
             raise NumericsError(f"Helmholtz solve failed (dpttrs info = {info})")
-        z = z.T.reshape(rhs.shape)
         if self._p is not None:
-            z += (self._gain * (z[..., :1] + z[..., -1:])) * self._p
+            z += np.multiply(self._gain * (z[..., :1] + z[..., -1:]), self._p, out=scratch)
         return z
 
 
@@ -225,13 +240,72 @@ def helmholtz_apply_inverse(rhs: np.ndarray, delta: float, grid: Grid) -> np.nda
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim not in (1, 2) or rhs.shape[-1] != grid.n:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({grid.n},) or (m, {grid.n})")
+    z = rhs.copy()
     if delta == 0.0:
-        return rhs.copy()
-    return _helmholtz(delta, grid).solve(rhs)
+        return z
+    return _helmholtz(delta, grid).solve(z)
 
 
 # ---------------------------------------------------------------------------
 # semidiscrete rates
+
+class _Stage:
+    """Preallocated buffers of the rate for one grid and batch shape."""
+
+    def __init__(self, grid: Grid, shape: Tuple[int, ...]):
+        self.grid = grid
+        lead = shape[:-1]
+        # Rows (-1 - eta) u, u, eta with two ghost cells at each end.
+        self.pad = np.empty((3,) + lead + (grid.n + 4,))
+        self.u = self.pad[1, ..., 2:-2]
+        self.eta = self.pad[2, ..., 2:-2]
+        # One (3, ...) rate buffer per RK4 stage: eta_t, u_t, scratch.
+        self.k = tuple(np.empty((3,) + shape) for _ in range(4))
+        # Mirror sign of each row at reflective walls: u is odd, eta even.
+        self.parity = np.array([-1.0, -1.0, 1.0]).reshape((3,) + (1,) * len(shape))
+
+    def rate(self, k: np.ndarray, delta: float, epsilon, dissipative: bool) -> None:
+        """Rates of the state in the buffer interior into k[0] (eta_t) and k[1] (u_t)."""
+        grid, p = self.grid, self.pad
+        n = grid.n
+        if np.min(self.eta) <= -1.0:
+            raise NumericsError("vacuum state: 1 + eta reached zero")
+        flux = p[0, ..., 2:-2]
+        np.subtract(-1.0, self.eta, out=flux)
+        flux *= self.u
+        if grid.boundary is BoundaryKind.PERIODIC:
+            p[..., :2] = p[..., n : n + 2]
+            p[..., n + 2 :] = p[..., 2:4]
+        else:
+            np.multiply(p[..., 3:1:-1], self.parity, out=p[..., :2])
+            np.multiply(p[..., n + 1 : n - 1 : -1], self.parity, out=p[..., n + 2 :])
+        np.subtract(p[..., 3 : n + 3], p[..., 1 : n + 1], out=k)
+        k *= 8.0
+        k += p[..., 0:n]
+        k -= p[..., 4:]
+        k /= 12.0 * grid.dx
+        forcing = k[1]
+        forcing *= self.u
+        forcing += k[2]
+        np.negative(forcing, out=forcing)
+        if dissipative:
+            # Second difference of u into the spent rows: k[2] and the flux.
+            d2 = k[2]
+            np.add(p[1, ..., 1 : n + 1], p[1, ..., 3 : n + 3], out=d2)
+            d2 -= np.multiply(self.u, 2.0, out=flux)
+            d2 /= grid.dx * grid.dx
+            d2 *= epsilon
+            forcing += d2
+        if delta != 0.0:
+            _helmholtz(delta, grid).solve(forcing, scratch=k[2])
+
+
+# The cached buffers are reused by every call on the same grid and batch
+# shape; the package starts no threads, and this cache assumes none.
+@lru_cache(maxsize=8)
+def _stage(grid: Grid, shape: Tuple[int, ...]) -> _Stage:
+    return _Stage(grid, shape)
+
 
 def semidiscrete_rhs_peregrine(
     eta: np.ndarray, u: np.ndarray, delta: float, epsilon, grid: Grid
@@ -241,16 +315,19 @@ def semidiscrete_rhs_peregrine(
     eta and u are (n,) or (m, n) arrays; epsilon is a scalar, or an (m, 1)
     column with one value per batch row.
     """
-    if np.min(eta) <= -1.0:
-        raise NumericsError("vacuum state: 1 + eta reached zero")
-    eta_rate = first_difference((-1.0 - eta) * u, grid, parity=-1)
-    forcing = first_difference(u, grid, parity=-1)
-    forcing *= u
-    forcing += first_difference(eta, grid, parity=1)
-    np.negative(forcing, out=forcing)
-    if np.any(epsilon != 0.0):
-        forcing += epsilon * second_difference(u, grid, parity=-1)
-    return eta_rate, helmholtz_apply_inverse(forcing, delta, grid)
+    if delta < 0.0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    eta, u = np.asarray(eta, dtype=float), np.asarray(u, dtype=float)
+    if eta.shape != u.shape or eta.ndim not in (1, 2) or eta.shape[-1] != grid.n:
+        raise ValueError(
+            f"eta {eta.shape} and u {u.shape} must both be ({grid.n},) or (m, {grid.n})"
+        )
+    stage = _stage(grid, eta.shape)
+    stage.eta[...] = eta
+    stage.u[...] = u
+    k = stage.k[0]
+    stage.rate(k, delta, epsilon, bool(np.any(epsilon != 0.0)))
+    return k[0].copy(), k[1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +370,13 @@ class RunConfig:
             )
 
 
+def _advective_bound(max_abs_u: float, max_eta: float, dx: float) -> float:
+    return 0.9 * dx / (1.0 + max_abs_u + math.sqrt(1.0 + max(max_eta, 0.0)))
+
+
 def cfl_bound(state: FieldPair, grid: Grid) -> float:
     """Largest admissible explicit step, 0.9*dx/(1 + max|u| + sqrt(1+max eta))."""
-    speed = 1.0 + np.max(np.abs(state.u)) + math.sqrt(1.0 + max(np.max(state.eta), 0.0))
-    return 0.9 * grid.dx / speed
+    return _advective_bound(np.max(np.abs(state.u)), np.max(state.eta), grid.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -304,26 +384,32 @@ def cfl_bound(state: FieldPair, grid: Grid) -> float:
 
 def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> FieldPair:
     grid, dt = config.grid, config.dt
-    d, e = config.delta, epsilon
     eta, u = state.eta, state.u
-    rates = semidiscrete_rhs_peregrine
-    k1e, k1u = rates(eta, u, d, e, grid)
-    k2e, k2u = rates(eta + 0.5 * dt * k1e, u + 0.5 * dt * k1u, d, e, grid)
-    k3e, k3u = rates(eta + 0.5 * dt * k2e, u + 0.5 * dt * k2u, d, e, grid)
-    k4e, k4u = rates(eta + dt * k3e, u + dt * k3u, d, e, grid)
-    # Sum k1 + 2 k2 + 2 k3 + k4 into k2 in place: no temporaries.
-    for y, k1, k2, k3, k4 in ((eta, k1e, k2e, k3e, k4e), (u, k1u, k2u, k3u, k4u)):
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= dt / 6.0
-        k2 += y
-    return FieldPair(k2e, k2u, state.t + dt)
-
-
-def _sw_flux(eta, u):
-    return u + eta * u, eta + 0.5 * u * u
+    stage = _stage(grid, eta.shape)
+    k1, k2, k3, k4 = stage.k
+    args = (config.delta, epsilon, bool(np.any(epsilon != 0.0)))
+    stage.eta[...] = eta
+    stage.u[...] = u
+    stage.rate(k1, *args)
+    for k, prev, h in ((k2, k1, 0.5 * dt), (k3, k2, 0.5 * dt), (k4, k3, dt)):
+        # Stage input y + h * prev, written straight into the buffer.
+        np.multiply(prev[0], h, out=stage.eta)
+        stage.eta += eta
+        np.multiply(prev[1], h, out=stage.u)
+        stage.u += u
+        stage.rate(k, *args)
+    # Sum k1 + 2 k2 + 2 k3 + k4 into k2 in place, then add it to the state
+    # in fresh arrays: the returned state never aliases the workspace.
+    k1, k2, k3, k4 = k1[:2], k2[:2], k3[:2], k4[:2]
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= dt / 6.0
+    out = np.empty(k2.shape)
+    np.add(k2[0], eta, out=out[0])
+    np.add(k2[1], u, out=out[1])
+    return FieldPair(out[0], out[1], state.t + dt)
 
 
 def _rusanov_step(state: FieldPair, config: RunConfig) -> FieldPair:
@@ -331,39 +417,53 @@ def _rusanov_step(state: FieldPair, config: RunConfig) -> FieldPair:
     eta, u = state.eta, state.u
     if np.min(eta) <= -1.0:
         raise NumericsError("vacuum state: 1 + eta reached zero")
+    n = grid.n
+    # q holds (eta, u) over cells 0..n-1 with one ghost cell at each end:
+    # the wrapped cell on periodic grids, the mirror state (eta, -u) at
+    # walls.  Face j + 1/2 of q lies between q[:, j] and q[:, j + 1].
+    q = np.empty((2, n + 2))
+    q[0, 1:-1] = eta
+    q[1, 1:-1] = u
     if grid.boundary is BoundaryKind.PERIODIC:
-        eta_r, u_r = np.roll(eta, -1), np.roll(u, -1)
+        q[:, 0] = q[:, n]
+        q[:, -1] = q[:, 1]
     else:
-        eta_r = np.concatenate([eta[1:], eta[-1:]])
-        u_r = np.concatenate([u[1:], -u[-1:]])
-    f1_l, f2_l = _sw_flux(eta, u)
-    f1_r, f2_r = _sw_flux(eta_r, u_r)
-    a = np.maximum(
-        np.abs(u) + np.sqrt(1.0 + eta), np.abs(u_r) + np.sqrt(1.0 + eta_r)
-    )
-    flux1 = 0.5 * (f1_l + f1_r) - 0.5 * a * (eta_r - eta)
-    flux2 = 0.5 * (f2_l + f2_r) - 0.5 * a * (u_r - u)
-    if grid.boundary is BoundaryKind.PERIODIC:
-        d1 = flux1 - np.roll(flux1, 1)
-        d2 = flux2 - np.roll(flux2, 1)
-    else:
-        # Wall flux on the left boundary: mirror state (eta, -u).
-        eta_g, u_g = eta[0], -u[0]
-        g1, g2 = _sw_flux(eta_g, u_g)
-        a0 = np.abs(u[0]) + math.sqrt(1.0 + eta[0])
-        w1 = 0.5 * (g1 + f1_l[0]) - 0.5 * a0 * (eta[0] - eta_g)
-        w2 = 0.5 * (g2 + f2_l[0]) - 0.5 * a0 * (u[0] - u_g)
-        d1 = flux1 - np.concatenate([[w1], flux1[:-1]])
-        d2 = flux2 - np.concatenate([[w2], flux2[:-1]])
-    lam = dt / grid.dx
-    return FieldPair(eta - lam * d1, u - lam * d2, state.t + dt)
+        q[0, 0], q[1, 0] = q[0, 1], -q[1, 1]
+        q[0, -1], q[1, -1] = q[0, n], -q[1, n]
+    qe, qu = q
+    # Per cell: the fluxes (u + eta u, eta + u^2 / 2) and the wave speed.
+    f = np.empty_like(q)
+    np.multiply(qe, qu, out=f[0])
+    f[0] += qu
+    np.multiply(qu, 0.5, out=f[1])
+    f[1] *= qu
+    f[1] += qe
+    speed = np.add(qe, 1.0)
+    np.sqrt(speed, out=speed)
+    speed += np.abs(qu)
+    # Per face: 0.5 (f_l + f_r) - 0.5 a (q_r - q_l), a the larger speed.
+    half_a = np.maximum(speed[:-1], speed[1:])
+    half_a *= 0.5
+    flux = np.add(f[:, :-1], f[:, 1:])
+    flux *= 0.5
+    jump = np.subtract(q[:, 1:], q[:, :-1])
+    jump *= half_a
+    flux -= jump
+    # Per cell: the flux difference, scaled by dt / dx.
+    d = np.subtract(flux[:, 1:], flux[:, :-1], out=jump[:, :n])
+    d *= dt / grid.dx
+    out = np.subtract(q[:, 1:-1], d)
+    return FieldPair(out[0], out[1], state.t + dt)
 
 
 def _checked(out: FieldPair, config: RunConfig) -> FieldPair:
     """out, after checking it is finite and that dt still meets cfl_bound."""
-    if not (np.all(np.isfinite(out.eta)) and np.all(np.isfinite(out.u))):
+    u_hi, u_lo = np.max(out.u), np.min(out.u)
+    eta_hi, eta_lo = np.max(out.eta), np.min(out.eta)
+    # NaN reaches every extreme, +inf a max, -inf a min.
+    if not all(map(math.isfinite, (u_hi, u_lo, eta_hi, eta_lo))):
         raise NumericsError(f"non-finite field values at t = {out.t:.6g}")
-    bound = cfl_bound(out, config.grid)
+    bound = _advective_bound(max(u_hi, -u_lo), eta_hi, config.grid.dx)
     if bound < config.dt:
         raise NumericsError(
             f"advective bound {bound:.6g} fell below dt = {config.dt} at t = {out.t:.6g}"
@@ -613,8 +713,7 @@ def shape_misfit(
 # export
 
 def write_snapshot_csv(state: FieldPair, grid: Grid, path) -> None:
-    np.savetxt(path, np.column_stack([grid.x, state.eta, state.u]), fmt="%.17g",
-               delimiter=",", header="x,eta,u", comments="")
+    write_csv(path, "x,eta,u", [grid.x, state.eta, state.u])
 
 
 def snapshot_manifest(config: RunConfig, state: FieldPair) -> dict:
@@ -635,5 +734,4 @@ def write_snapshot_manifest(config: RunConfig, state: FieldPair, path) -> None:
 
 
 def write_error_series_csv(series: ErrorSeries, path) -> None:
-    np.savetxt(path, np.column_stack([series.times, series.y]), fmt="%.17g",
-               delimiter=",", header="t,y", comments="")
+    write_csv(path, "t,y", [series.times, series.y])

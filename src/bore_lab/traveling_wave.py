@@ -45,6 +45,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
+from .csvio import write_csv
 from .errors import IntegrationError, NumericsError
 from .waveform import (
     ComplexConjugate,
@@ -632,8 +633,7 @@ def polyline_self_intersections(x: np.ndarray, y: np.ndarray, max_points: int = 
 
 def write_profile_csv(profile: Profile, path) -> None:
     """Write samples as CSV with header xi,u,v,eta at full double precision."""
-    np.savetxt(path, np.column_stack([profile.xi, profile.u, profile.v, profile.eta]),
-               fmt="%.17g", delimiter=",", header="xi,u,v,eta", comments="")
+    write_csv(path, "xi,u,v,eta", [profile.xi, profile.u, profile.v, profile.eta])
 
 
 def load_profile_csv(path) -> dict:

@@ -2,10 +2,15 @@
 outputs, and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bore_lab
 from bore_lab.cli import main
 from bore_lab.config import load_config
 from bore_lab.waveform import (
@@ -78,6 +83,16 @@ def test_classify_is_deterministic(capsys):
     first = capsys.readouterr().out
     main(["classify", "--preset", "fig2"])
     assert capsys.readouterr().out == first
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(bore_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-m", "bore_lab", "classify", "--preset", "fig2"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["kind"]
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bore_lab.csvio import write_csv
 from bore_lab.errors import ConfigError, NumericsError
 from bore_lab.pde import (
+    _checked,
     FieldPair,
     Gaussian,
     Grid,
@@ -272,6 +274,61 @@ def test_rhs_grid_mismatch():
         semidiscrete_rhs_peregrine(np.zeros(64), np.zeros(64), 1.0, 0.0, periodic_grid(128))
 
 
+def composed_rate(eta, u, delta, epsilon, grid):
+    """The Peregrine rate from the public operators, one call per term."""
+    eta_t = first_difference((-1.0 - eta) * u, grid, parity=-1)
+    forcing = first_difference(u, grid, parity=-1)
+    forcing *= u
+    forcing += first_difference(eta, grid, parity=1)
+    np.negative(forcing, out=forcing)
+    if np.any(epsilon != 0.0):
+        forcing += epsilon * second_difference(u, grid, parity=-1)
+    return eta_t, helmholtz_apply_inverse(forcing, delta, grid)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflective"])
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("delta", [0.5, 0.0])
+def test_stage_rate_equals_composed_operators(boundary, batch, delta):
+    # The fused stage must give the composed rate bit for bit, and what it
+    # returns must not alias the workspace that the next call reuses.
+    g = Grid(-10.0, 10.0, 200, boundary)
+    rng = np.random.default_rng(5)
+    shape = (3, g.n) if batch else (g.n,)
+    eta, u = rng.uniform(-0.5, 0.5, shape), rng.uniform(-0.5, 0.5, shape)
+    epsilon = np.array([[0.0], [0.1], [0.4]]) if batch else 0.1
+    eta_t, u_t = semidiscrete_rhs_peregrine(eta, u, delta, epsilon, g)
+    expected = composed_rate(eta, u, delta, epsilon, g)
+    assert np.array_equal(eta_t, expected[0])
+    assert np.array_equal(u_t, expected[1])
+    semidiscrete_rhs_peregrine(-eta, 2.0 * u, delta, epsilon, g)
+    assert np.array_equal(eta_t, expected[0])
+    assert np.array_equal(u_t, expected[1])
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflective"])
+def test_rk4_step_equals_rk4_of_the_rate(boundary):
+    g = Grid(-50.0, 50.0, 400, boundary)
+    cfg = RunConfig("peregrine-dissipative", g, SmoothedRiemann(0.4), 0.025, 1.0,
+                    delta=0.5, epsilon=0.1)
+    state = make_initial(cfg.ic, g)
+    for _ in range(3):
+        state = step(state, cfg)
+    eta, u, dt = state.eta, state.u, cfg.dt
+
+    def rate(e, v):
+        return semidiscrete_rhs_peregrine(e, v, cfg.delta, cfg.epsilon, g)
+
+    k1 = rate(eta, u)
+    k2 = rate(eta + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
+    k3 = rate(eta + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
+    k4 = rate(eta + dt * k3[0], u + dt * k3[1])
+    new = step(state, cfg)
+    for i, y in enumerate((new.eta, new.u)):
+        expected = ((k2[i] + k3[i]) * 2.0 + k1[i] + k4[i]) * (dt / 6.0) + (eta, u)[i]
+        assert np.array_equal(y, expected)
+
+
 # ---- run configuration -------------------------------------------------
 
 
@@ -430,6 +487,28 @@ def test_cfl_bound_is_checked_at_every_step():
         evolve(cfg)
     with pytest.raises(NumericsError, match="fell below dt"):
         error_study(cfg, [0.1])
+
+
+@pytest.mark.parametrize("field, value", [("u", np.nan), ("eta", np.inf), ("eta", -np.inf)])
+def test_checked_rejects_non_finite_values(field, value):
+    # -inf in eta shows only in a minimum: a max-only check would pass it.
+    cfg = small_config(t_end=0.5)
+    state = make_initial(cfg.ic, cfg.grid)
+    getattr(state, field)[17] = value
+    with pytest.raises(NumericsError, match="non-finite"):
+        _checked(state, cfg)
+
+
+def test_shallow_water_reflective_walls_conserve_mass_and_symmetry():
+    # A centred bump splits into two waves that reach both walls; the wall
+    # fluxes must keep the discrete mass and the mirror symmetry exactly.
+    g = Grid(-40.0, 40.0, 320, "reflective")
+    cfg = RunConfig("shallow-water", g, Gaussian(0.4, 4.0), 0.05, 30.0)
+    init = make_initial(cfg.ic, g)
+    (final,) = evolve(cfg)
+    assert abs(discrete_mass(final, g) - discrete_mass(init, g)) < 1e-12
+    assert np.array_equal(final.eta, final.eta[::-1])
+    assert np.array_equal(final.u, -final.u[::-1])
 
 
 # ---- norms -------------------------------------------------------------
@@ -695,3 +774,16 @@ def test_error_series_csv_round_trip(tmp_path, study):
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert np.array_equal(data["t"], study.series[0].times)
     assert np.array_equal(data["y"], study.series[0].y)
+
+
+
+def test_write_csv_matches_savetxt_bytes(tmp_path):
+    # More rows than four formatting blocks, and values whose %.17g text
+    # is special: signed zero, infinities, NaN, subnormal, huge.
+    rng = np.random.default_rng(3)
+    cols = [np.arange(5000.0), rng.standard_normal(5000), rng.standard_normal(5000)]
+    cols[1][:6] = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7e308]
+    write_csv(tmp_path / "a.csv", "i,a,b", cols)
+    np.savetxt(tmp_path / "b.csv", np.column_stack(cols), fmt="%.17g", delimiter=",",
+               header="i,a,b", comments="")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
