@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -122,13 +124,9 @@ unset multiplot
 
 def cmd_profile(args) -> int:
     params = _resolve_params(args)
-    options = ProfileOptions(
-        seed_offset=args.seed_offset,
-        rtol=args.rtol,
-        atol=args.atol,
-        max_span=args.max_span,
-        tail_tol=args.tail_tol,
-    )
+    # Each flag is named after its field; flags left out keep the field's default.
+    given = {f.name: getattr(args, f.name) for f in fields(ProfileOptions)}
+    options = ProfileOptions(**{k: v for k, v in given.items() if v is not None})
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = integrate_profile(params, options)
@@ -142,9 +140,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_speed_amplitude(args) -> int:
-    if not 1.0 < args.c_min < args.c_max:
+    if not 1.0 < args.c_min < args.c_max < math.inf:
         raise ConfigError(
-            f"need 1 < c_min < c_max, got c_min={args.c_min}, c_max={args.c_max}"
+            f"need 1 < c_min < c_max < inf, got c_min={args.c_min}, c_max={args.c_max}"
         )
     if args.n < 2:
         raise ConfigError(f"need at least 2 rows, got {args.n}")
@@ -163,7 +161,12 @@ def cmd_speed_amplitude(args) -> int:
     return 0
 
 
-def _horizon_check(config: RunConfig) -> None:
+def _load_run_config(path) -> RunConfig:
+    """The evolution config at path, refused if its t_end lets boundary
+    effects reach the features at x = 0."""
+    config = load_config(path)
+    if not isinstance(config, RunConfig):
+        raise ConfigError(f"{path} is not an evolution config")
     grid = config.grid
     if not grid.x_min < 0.0 < grid.x_max:
         raise ConfigError("initial features sit at x = 0; domain must straddle it")
@@ -173,6 +176,7 @@ def _horizon_check(config: RunConfig) -> None:
             f"t_end = {config.t_end} reaches the boundary influence zone; "
             f"keep t_end below {horizon:.6g} or widen the domain"
         )
+    return config
 
 
 def _evolve_plot(n_snapshots: int, prefix: str) -> str:
@@ -191,10 +195,7 @@ def _evolve_plot(n_snapshots: int, prefix: str) -> str:
 
 
 def cmd_evolve(args) -> int:
-    config = load_config(args.config)
-    if not isinstance(config, RunConfig):
-        raise ConfigError(f"{args.config} is not an evolution config")
-    _horizon_check(config)
+    config = _load_run_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshots = evolve(config)
@@ -221,10 +222,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_error_study(args) -> int:
-    config = load_config(args.config)
-    if not isinstance(config, RunConfig):
-        raise ConfigError(f"{args.config} is not an evolution config")
-    _horizon_check(config)
+    config = _load_run_config(args.config)
     try:
         epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
     except ValueError:
@@ -315,8 +313,8 @@ def _align_series(t_model, e_model, t_data, e_data):
 
 def cmd_overlay(args) -> int:
     data = load_profile_csv(args.profile)
-    if args.c <= 1.0:
-        raise ConfigError(f"Froude number must exceed 1, got {args.c}")
+    if not 1.0 < args.c < math.inf:
+        raise ConfigError(f"Froude number must be finite and exceed 1, got {args.c}")
     # A steady wave passing a fixed gauge: xi = x0 - c t, so the time trace
     # is the profile read right to left.
     t_model = -data["xi"][::-1] / args.c
@@ -406,12 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="integrate a traveling-wave profile")
     add_params(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed-offset", type=float, default=None,
+    # Defaults live in ProfileOptions; cmd_profile passes only given flags.
+    p.add_argument("--seed-offset", type=float,
                    help="manifold seed offset (default 1e-8 * u_tail)")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
-    p.add_argument("--max-span", type=float, default=2000.0)
-    p.add_argument("--tail-tol", type=float, default=1e-8)
+    p.add_argument("--rtol", type=float)
+    p.add_argument("--atol", type=float)
+    p.add_argument("--max-span", type=float)
+    p.add_argument("--tail-tol", type=float)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("speed-amplitude", help="amplitude branches vs speed")

@@ -12,6 +12,7 @@ a `system` key and load to a RunConfig.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple, Union
 
 from .errors import ConfigError
@@ -165,9 +166,12 @@ def _take_float(pairs: Dict[str, str], key: str, default=None) -> float:
         return default
     raw = pairs.pop(key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key {key!r} is not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _reject_leftovers(pairs: Dict[str, str], shape: str) -> None:

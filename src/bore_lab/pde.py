@@ -120,14 +120,14 @@ def make_initial(ic: InitialCondition, grid: Grid) -> FieldPair:
     """Sample an initial-condition spec on the grid at t = 0."""
     x = grid.x
     if isinstance(ic, SmoothedRiemann):
-        if ic.eta_left <= -1.0:
-            raise ConfigError(f"eta_left must exceed -1, got {ic.eta_left}")
+        if not -1.0 < ic.eta_left < math.inf:
+            raise ConfigError(f"eta_left must be finite and exceed -1, got {ic.eta_left}")
         if not ic.ramp_width > 0.0:
             raise ConfigError(f"ramp_width must be positive, got {ic.ramp_width}")
         eta = 0.5 * ic.eta_left * (1.0 - np.tanh(x / ic.ramp_width))
     elif isinstance(ic, Gaussian):
-        if ic.amplitude <= -1.0:
-            raise ConfigError(f"amplitude must exceed -1, got {ic.amplitude}")
+        if not -1.0 < ic.amplitude < math.inf:
+            raise ConfigError(f"amplitude must be finite and exceed -1, got {ic.amplitude}")
         if not ic.width > 0.0:
             raise ConfigError(f"width must be positive, got {ic.width}")
         eta = ic.amplitude * np.exp(-((x / ic.width) ** 2))
@@ -349,6 +349,11 @@ class RunConfig:
         object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
         if not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not all(map(math.isfinite, (self.delta, self.epsilon, self.t_end))):
+            raise ConfigError(
+                f"delta, epsilon and t_end must be finite, got "
+                f"({self.delta}, {self.epsilon}, {self.t_end})"
+            )
         if self.t_end < 0.0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if self.delta < 0.0 or self.epsilon < 0.0:
@@ -584,8 +589,8 @@ def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudy
     """
     if len(epsilons) == 0:
         raise ConfigError("error study needs at least one epsilon")
-    if any(e <= 0.0 for e in epsilons):
-        raise ConfigError("error-study epsilons must be positive")
+    if not all(0.0 < e < math.inf for e in epsilons):
+        raise ConfigError("error-study epsilons must be positive and finite")
     if not base_config.snapshot_times:
         raise ConfigError("error study needs snapshot_times in the base config")
     if base_config.system is not SystemKind.PEREGRINE_DISSIPATIVE:

@@ -9,16 +9,16 @@ connects the upstream equilibrium (u_tail, 0) at xi -> -inf to the rest
 state (0, 0) at xi -> +inf.  The rest state is a saddle, so the orbit is
 computed by seeding a point on its stable manifold a small offset away
 from the origin and integrating backward in xi until the upstream
-equilibrium is resolved; a short forward stretch captures the remaining
-decay to zero.  Backward integration is the numerically benign direction:
-transverse errors contract instead of exploding.
+equilibrium is resolved.  Backward integration is the numerically benign
+direction: transverse errors contract instead of exploding.
 
-The forward stretch is deliberately short.  Riding the stable manifold
-forward amplifies transverse noise like exp((lambda_plus - lambda_minus) xi),
-so its span is capped where that amplification would reach one percent of
-the decaying signal.
+The profile ends at the seed.  Downstream of it the orbit is the linear
+stable-manifold flow u = offset * exp(lambda_minus xi), which falls below
+the solver's atol within a few decay lengths; ending a connecting orbit on
+the linearized stable manifold is the standard truncation (Beyn, IMA J.
+Numer. Anal. 10, 1990).
 
-Both sweeps run scipy's LSODA (Adams/BDF with automatic stiffness
+The sweep runs scipy's LSODA (Adams/BDF with automatic stiffness
 switching, Petzold 1983) with the analytic Jacobian, one step at a time,
 so rtol/atol alone set the steps.  The exported samples lie on a uniform
 grid in xi, evaluated from the dense output of the step that covers each
@@ -83,7 +83,8 @@ class ProfileOptions:
 
     seed_offset: distance |u| of the stable-manifold seed from the origin;
     None picks 1e-8 * u_tail.  tail_tol is the upstream stopping tolerance,
-    max_span aborts runaway sweeps, rtol/atol (both > 0) go to the solver.
+    max_span (the sweep's only bound) aborts runaway sweeps, rtol/atol go
+    to the solver.  All four must be positive and finite.
     """
 
     seed_offset: Optional[float] = None
@@ -93,19 +94,22 @@ class ProfileOptions:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.rtol > 0.0 and self.atol > 0.0):
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ValueError(
-                f"tolerances must be positive, got rtol = {self.rtol}, atol = {self.atol}"
+                f"tolerances must be positive and finite, got rtol = {self.rtol}, atol = {self.atol}"
             )
+        for name in ("tail_tol", "max_span"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class SolverRecord:
     """What the profile sweep did; written as the solver block of shape.json.
 
-    steps, rhs_evals and jac_evals add up the backward sweep and the
-    forward stretch.  stop names the rule that ended the backward sweep:
-    "tail_tol" (monotone) or "shrinking_peaks" (oscillatory).
+    steps, rhs_evals and jac_evals are those of the sweep.  stop names the
+    rule that ended it: "tail_tol" (monotone) or "shrinking_peaks"
+    (oscillatory).
     """
 
     method: str
@@ -122,10 +126,11 @@ class SolverRecord:
 class Profile:
     """Sampled heteroclinic orbit, xi ascending, front crossing at xi = 0.
 
-    u decays to 0 on the right and approaches u_tail on the left; eta is
-    the reconstructed surface elevation u / (c - u).  seed_offset records
-    the offset actually used; solver records what the sweep did (None for
-    a profile assembled from stored samples).
+    u ends at the manifold seed (u = seed_offset) on the right and
+    approaches u_tail on the left; eta is the reconstructed surface
+    elevation u / (c - u).  seed_offset records the offset actually used;
+    solver records what the sweep did (None for a profile assembled from
+    stored samples).
     """
 
     params: WaveParams
@@ -181,12 +186,6 @@ def vector_field(u, v, params: WaveParams):
     return du, dv
 
 
-def _field(y, params):
-    u, v = y[..., 0], y[..., 1]
-    du, dv = vector_field(u, v, params)
-    return np.stack([du, dv], axis=-1)
-
-
 def _jacobian(y, params):
     u = y[0]
     dc = params.delta * params.c
@@ -216,8 +215,8 @@ def manifold_seed(params: WaveParams, offset: float) -> PhasePoint:
     return PhasePoint(xi=0.0, u=offset, v=params.delta * params.c * lam_minus * offset)
 
 
-def _slow_rate(params: WaveParams):
-    """(slowest structural rate of the orbit, linearization data).
+def _slow_rate(params: WaveParams) -> float:
+    """Slowest structural rate of the orbit.
 
     The larger of |lambda_minus| (the downstream decay) and the upstream
     rate: the slow node eigenvalue of a real tail pair, the modulus of a
@@ -229,21 +228,27 @@ def _slow_rate(params: WaveParams):
         tail_rate = math.hypot(spec.tail.real, spec.tail.imag)
     else:
         tail_rate = spec.tail.minus
-    return max(abs(spec.lambda_minus), tail_rate), spec
+    return max(abs(spec.lambda_minus), tail_rate)
 
 
 class _GridSweep:
-    """LSODA driven one step at a time, sampled at tau = k * spacing.
+    """LSODA on the reversed field in tau = -xi, sampled at tau = k * spacing.
 
     Iterating yields (tau, y) for k = 1, 2, ... in order, evaluated from
     the dense output of the step that covers tau, until the solver reaches
     t_end.  steps counts the accepted steps taken so far.
     """
 
-    def __init__(self, fun, jac, y0, t_end, spacing, opts: ProfileOptions):
+    def __init__(self, params, y0, t_end, spacing, opts: ProfileOptions):
         # Imported here so that commands without a profile never load
         # scipy.integrate (~2.5 MiB of resident memory).
         from scipy.integrate import LSODA
+
+        def fun(t, y):
+            return -np.stack(vector_field(y[0], y[1], params))
+
+        def jac(t, y):
+            return -_jacobian(y, params)
 
         self.solver = LSODA(fun, 0.0, y0, t_end, rtol=opts.rtol, atol=opts.atol, jac=jac)
         self.spacing = spacing
@@ -257,9 +262,7 @@ class _GridSweep:
             if solver.status == "failed":
                 raise IntegrationError(f"LSODA broke down at tau = {solver.t:.6g}: {message}")
             self.steps += 1
-            # The tolerance lets the last grid point of a span that ends on
-            # the grid survive rounding of t_end / spacing.
-            last = int(math.floor(solver.t / spacing + 1e-9))
+            last = int(math.floor(solver.t / spacing))
             if last < k:
                 continue
             taus = spacing * np.arange(k, last + 1)
@@ -288,30 +291,16 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     offset = opts.seed_offset if opts.seed_offset is not None else 1e-8 * u0
     seed = manifold_seed(params, offset)
     regime = classify_regime(params)
-    rate, spec = _slow_rate(params)
-    spacing = _STEP_FRACTION / rate
+    spacing = _STEP_FRACTION / _slow_rate(params)
     y_seed = np.array([seed.u, seed.v])
 
-    def f_back(t, y):
-        return -_field(y, params)
-
-    def j_back(t, y):
-        return -_jacobian(y, params)
-
-    def f_fwd(t, y):
-        return _field(y, params)
-
-    def j_fwd(t, y):
-        return _jacobian(y, params)
-
-    # Backward sweep: reversed field integrated forward in tau = -xi.
-    back = _GridSweep(f_back, j_back, y_seed, opts.max_span, spacing, opts)
+    sweep = _GridSweep(params, y_seed, opts.max_span, spacing, opts)
     taus = [0.0]
     ys = [y_seed]
     dev_peaks: List[float] = []
     oscillatory = regime.kind is RegimeKind.OSCILLATORY
     stop = None
-    for tau, y in back:
+    for tau, y in sweep:
         taus.append(tau)
         ys.append(y)
         u_new, v_new = y
@@ -342,28 +331,8 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
             f"|u - u_tail| = {abs(ys[-1][0] - u0):.3e} at xi = {-taus[-1]:.1f}"
         )
 
-    # Forward stretch: capped where transverse noise would reach 1% of the
-    # decaying signal (growth ~ exp((lambda_plus - lambda_minus) xi)).  At
-    # least eight samples, evenly spaced and ending on fwd_span.
-    lam_minus, lam_plus = spec.lambda_minus, spec.lambda_plus
-    fwd_span = min(6.0 / abs(lam_minus), math.log(0.01 / opts.rtol) / (lam_plus - lam_minus))
-    taus_f = []
-    ys_f = []
-    sweeps = [back]
-    if fwd_span > 0.0:
-        n_fwd = max(8, math.ceil(fwd_span / spacing))
-        fwd = _GridSweep(f_fwd, j_fwd, y_seed, fwd_span, fwd_span / n_fwd, opts)
-        sweeps.append(fwd)
-        for tau, y in fwd:
-            if y[0] <= 0.0:
-                break
-            taus_f.append(tau)
-            ys_f.append(y)
-
-    xi = np.concatenate([-np.array(taus[::-1]), np.array(taus_f)])
-    y_all = np.vstack([np.array(ys[::-1]), np.array(ys_f)]) if ys_f else np.array(ys[::-1])
-    u_arr = y_all[:, 0]
-    v_arr = y_all[:, 1]
+    xi = -np.array(taus[::-1])
+    u_arr, v_arr = np.array(ys[::-1]).T
 
     # Normalize: xi = 0 at the rightmost crossing of u = u_tail / 2.
     du, _ = vector_field(u_arr, v_arr, params)
@@ -375,9 +344,9 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     eta = surface_elevation(u_arr, params.c)
     record = SolverRecord(
         method="LSODA",
-        steps=sum(s.steps for s in sweeps),
-        rhs_evals=sum(s.solver.nfev for s in sweeps),
-        jac_evals=sum(int(s.solver.njev) for s in sweeps),
+        steps=sweep.steps,
+        rhs_evals=sweep.solver.nfev,
+        jac_evals=int(sweep.solver.njev),
         samples=int(xi.size),
         xi_span=(float(xi[0]), float(xi[-1])),
         seed_offset=offset,

@@ -47,6 +47,7 @@ class WaveParams:
     c        wave speed in units of the linear long-wave speed; must be > 1
     delta    dispersion coefficient (scaled squared depth / 3); must be > 0
     epsilon  bulk dissipation coefficient; must be >= 0
+    All three must be finite.
     """
 
     c: float
@@ -54,6 +55,11 @@ class WaveParams:
     epsilon: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.c, self.delta, self.epsilon))):
+            raise ValueError(
+                f"c, delta and epsilon must be finite, got "
+                f"({self.c}, {self.delta}, {self.epsilon})"
+            )
         if not (self.c > 1.0):
             raise ValueError(
                 f"wave speed must be supercritical (c > 1), got c = {self.c}"

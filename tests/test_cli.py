@@ -193,6 +193,7 @@ def test_speed_amplitude_table(tmp_path, capsys):
         ["speed-amplitude", "--c-min", "1.4", "--c-max", "1.2", "--out", "x.csv"],
         ["speed-amplitude", "--c-min", "1.1", "--c-max", "1.4", "--n", "1",
          "--out", "x.csv"],
+        ["speed-amplitude", "--c-min", "1.1", "--c-max", "inf", "--out", "x.csv"],
     ],
 )
 def test_speed_amplitude_rejects_bad_ranges(argv, capsys):
@@ -327,6 +328,58 @@ def test_error_study_rejects_bad_epsilons(tmp_path, capsys, epsilons):
     capsys.readouterr()
 
 
+# ---- non-finite and out-of-range numbers --------------------------------
+
+
+def with_value(text, key, value):
+    """Config text with the value of key replaced."""
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in text.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+EVOLVE = ["evolve", "--config", "{config}", "--out-dir", "{out}"]
+PROFILE_FIG2 = ["profile", "--preset", "fig2", "--out-dir", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [
+        pytest.param(["classify", "--c", "1.3", "--delta", "0.2", "--epsilon", "inf"],
+                     SMALL_RUN, "epsilon", id="classify-epsilon-inf"),
+        pytest.param(["profile", "--c", "1.3", "--delta", "inf", "--epsilon", "1",
+                      "--out-dir", "{out}"], SMALL_RUN, "delta", id="profile-delta-inf"),
+        pytest.param(EVOLVE, with_value(SMALL_RUN, "x_min", "-inf"), "x_min",
+                     id="evolve-x_min-inf"),
+        pytest.param(EVOLVE, with_value(SMALL_RUN, "epsilon", "nan"), "epsilon",
+                     id="evolve-epsilon-nan"),
+        pytest.param(EVOLVE, with_value(SMALL_RUN, "epsilon", "inf"), "epsilon",
+                     id="evolve-epsilon-inf"),
+        pytest.param(EVOLVE, with_value(SMALL_RUN, "delta", "nan"), "delta",
+                     id="evolve-delta-nan"),
+        pytest.param(EVOLVE, with_value(SMALL_RUN, "eta_left", "nan"), "eta_left",
+                     id="evolve-eta_left-nan"),
+        pytest.param(["error-study", "--config", "{config}", "--epsilons", "nan,0.1",
+                      "--out-dir", "{out}"], STUDY_RUN, "epsilons",
+                     id="error-study-epsilon-nan"),
+        pytest.param(PROFILE_FIG2 + ["--tail-tol", "0"], SMALL_RUN, "tail_tol",
+                     id="profile-tail-tol-0"),
+        pytest.param(PROFILE_FIG2 + ["--tail-tol", "nan"], SMALL_RUN, "tail_tol",
+                     id="profile-tail-tol-nan"),
+        pytest.param(PROFILE_FIG2 + ["--max-span", "nan"], SMALL_RUN, "max_span",
+                     id="profile-max-span-nan"),
+    ],
+)
+def test_non_finite_or_out_of_range_numbers_exit_2(argv, config, name, tmp_path, capsys):
+    conf = write_small_config(tmp_path, config)
+    argv = [a.format(config=conf, out=tmp_path / "out") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert name in captured.err
+    assert captured.out == ""
+
+
 # ---- overlay -----------------------------------------------------------
 
 
@@ -421,6 +474,16 @@ def test_overlay_rejects_subcritical_speed(profile_dir, tmp_path, capsys):
                  "--data", str(gauge), "--c", "0.9",
                  "--out", str(tmp_path / "r.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("c", ["inf", "nan"])
+def test_overlay_rejects_non_finite_speed(profile_dir, tmp_path, capsys, c):
+    t, eta = station_trace(profile_dir, 1.3)
+    gauge = tmp_path / "gauge.csv"
+    write_gauge(gauge, t, eta)
+    assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
+                 "--data", str(gauge), "--c", c, "--out", str(tmp_path / "r.json")]) == 2
+    assert "Froude number must be finite" in capsys.readouterr().err
 
 
 # ---- preset-export -----------------------------------------------------

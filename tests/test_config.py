@@ -85,6 +85,7 @@ def test_build_wave_params_happy_path():
         ({"c": "1.3", "delta": "0.2"}, "epsilon"),
         ({"c": "fast", "delta": "0.2", "epsilon": "1.2"}, "not a number"),
         ({"c": "1.3", "delta": "0.2", "epsilon": "1.2", "dt": "0.025"}, "dt"),
+        ({"c": "inf", "delta": "0.2", "epsilon": "1.2"}, "key 'c' must be finite"),
     ],
 )
 def test_build_wave_params_errors(pairs, fragment):
@@ -136,6 +137,13 @@ def test_build_run_config_gaussian_and_snapshots():
         (dict(snapshot_times="1;2"), "snapshot_times"),
         (dict(boundary="absorbing"), "absorbing"),
         (dict(amplitude="1.0"), "amplitude"),  # riemann run, stray gaussian key
+        (dict(x_min="-inf"), "key 'x_min' must be finite"),
+        (dict(dx="nan"), "key 'dx' must be finite"),
+        (dict(dt="inf"), "key 'dt' must be finite"),
+        (dict(t_end="nan"), "key 't_end' must be finite"),
+        (dict(delta="nan"), "key 'delta' must be finite"),
+        (dict(epsilon="inf"), "key 'epsilon' must be finite"),
+        (dict(eta_left="nan"), "key 'eta_left' must be finite"),
     ],
 )
 def test_build_run_config_errors(overrides, fragment):

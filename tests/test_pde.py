@@ -115,6 +115,10 @@ def test_riemann_initial_limits_and_midpoint():
         SmoothedRiemann(0.5, 0.0),
         Gaussian(-1.0, 10.0),
         Gaussian(0.5, -3.0),
+        SmoothedRiemann(math.nan, 2.0),
+        SmoothedRiemann(math.inf, 2.0),
+        Gaussian(math.nan, 10.0),
+        Gaussian(math.inf, 10.0),
     ],
 )
 def test_initial_condition_validation(ic):
@@ -363,6 +367,10 @@ def test_config_accepts_string_system():
         dict(snapshot_times=(5.0,)),  # beyond t_end
         dict(snapshot_times=(-1.0,)),
         dict(dt=0.5),  # violates the advective bound
+        dict(delta=math.nan),
+        dict(epsilon=math.inf),
+        dict(t_end=math.nan),
+        dict(t_end=math.inf),
     ],
 )
 def test_config_validation(overrides):
@@ -599,6 +607,9 @@ def test_error_study_validation():
         error_study(cfg, [])
     with pytest.raises(ConfigError):
         error_study(cfg, [0.1, -0.1])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            error_study(cfg, [bad, 0.1])
     bare = small_config(t_end=2.0)
     with pytest.raises(ConfigError):
         error_study(bare, [0.1])

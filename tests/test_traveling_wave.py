@@ -37,6 +37,7 @@ from bore_lab import (
     write_shape_report_json,
 )
 from bore_lab import traveling_wave
+from bore_lab.config import preset_pairs
 from bore_lab.waveform import critical_epsilon, dissipated_energy, lyapunov_value
 
 MONO = WaveParams(1.3, 0.2, 1.2)
@@ -119,11 +120,29 @@ def test_integrate_profile_rejects_zero_damping():
 
 
 @pytest.mark.parametrize(
-    "rtol,atol", [(0.0, 1e-12), (-1e-10, 1e-12), (1e-10, 0.0), (math.nan, 1e-12)]
+    "rtol,atol",
+    [(0.0, 1e-12), (-1e-10, 1e-12), (1e-10, 0.0), (math.nan, 1e-12), (math.inf, 1e-12),
+     (1e-10, math.inf)],
 )
 def test_options_reject_nonpositive_tolerances(rtol, atol):
     with pytest.raises(ValueError):
         ProfileOptions(rtol=rtol, atol=atol)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(tail_tol=0.0),
+        dict(tail_tol=-1e-8),
+        dict(tail_tol=math.nan),
+        dict(max_span=0.0),
+        dict(max_span=math.inf),
+        dict(max_span=math.nan),
+    ],
+)
+def test_options_reject_bad_tail_tol_and_max_span(overrides):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ProfileOptions(**overrides)
 
 
 def test_exhausted_span_raises():
@@ -364,6 +383,31 @@ def test_custom_seed_offset_converges_to_same_front(mono_profile):
     ua = np.interp(grid, mono_profile.xi, mono_profile.u)
     ub = np.interp(grid, alt.xi, alt.u)
     assert np.max(np.abs(ua - ub)) < 1e-6
+
+
+@pytest.mark.parametrize("fixture", ["mono_profile", "osc_profile"])
+def test_profile_ends_at_the_seed(fixture, request):
+    profile = request.getfixturevalue(fixture)
+    p = profile.params
+    lam_minus, _ = saddle_eigenvalues(p)
+    assert profile.u[-1] == profile.seed_offset
+    assert profile.v[-1] == p.delta * p.c * lam_minus * profile.seed_offset
+
+
+TAIL_TRIPLES = [
+    pytest.param(WaveParams(*(preset_pairs(name)[k] for k in ("c", "delta", "epsilon"))),
+                 id=name)
+    for name in ("fig2", "fig5", "fig6-a", "fig6-b", "fig6-c", "fig9")
+] + [pytest.param(WaveParams(1.3, delta, 1.2), id=f"stiff-{delta}") for delta in (0.08, 0.1, 0.12)]
+
+
+@pytest.mark.parametrize("params", TAIL_TRIPLES)
+def test_downstream_rate_is_the_saddle_eigenvalue(params):
+    # Every downstream sample lies on the stable manifold above the solver's
+    # atol, so the fitted rate is lambda_minus to well below the 1e-2 checks.
+    lam_minus, _ = saddle_eigenvalues(params)
+    rate = shape_report(integrate_profile(params)).tail_decay_rate_plus
+    assert rate == pytest.approx(lam_minus, rel=1e-4)
 
 
 def test_solver_record_describes_the_samples(mono_profile, osc_profile):

@@ -88,6 +88,22 @@ def test_subcritical_speed_rejected():
         WaveParams(0.9, 1.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "triple",
+    [
+        (math.inf, 1.0, 0.1),
+        (math.nan, 1.0, 0.1),
+        (1.3, math.inf, 0.1),
+        (1.3, math.nan, 0.1),
+        (1.3, 1.0, math.inf),
+        (1.3, 1.0, math.nan),
+    ],
+)
+def test_non_finite_parameters_rejected(triple):
+    with pytest.raises(ValueError, match="must be finite"):
+        WaveParams(*triple)
+
+
 def test_tail_degenerates_at_criticality():
     eq = equilibria(WaveParams(1.0 + 1e-12, 1.0, 0.0))
     assert eq.u_tail < 1e-11
