@@ -30,8 +30,6 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .csvio import write_csv
 from .errors import ConfigError, NumericsError
@@ -193,6 +191,9 @@ class _HelmholtzSolver:
     """
 
     def __init__(self, delta: float, grid: Grid):
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
+        self._dpttrs = dpttrs
         n = grid.n
         q = delta / (grid.dx * grid.dx)
         diag = np.full(n, 1.0 + 2.0 * q)
@@ -220,7 +221,7 @@ class _HelmholtzSolver:
         """
         # The (n, m) transpose is Fortran-ordered, so dpttrs solves each
         # column, one row of z, in z's own memory.
-        _, info = dpttrs(self._d, self._e, z.reshape(-1, z.shape[-1]).T, overwrite_b=1)
+        _, info = self._dpttrs(self._d, self._e, z.reshape(-1, z.shape[-1]).T, overwrite_b=1)
         if info != 0:
             raise NumericsError(f"Helmholtz solve failed (dpttrs info = {info})")
         if self._p is not None:
@@ -669,6 +670,8 @@ def sample_profile_on_grid(
     ramped back to zero somewhere far from the front: passing blend_center
     multiplies both fields by (1 + tanh((x - blend_center)/blend_width))/2.
     """
+    from scipy.interpolate import CubicSpline
+
     x = grid.x
     xq = np.clip(x, profile.xi[0], profile.xi[-1])
     eta = CubicSpline(profile.xi, profile.eta)(xq)
@@ -704,6 +707,8 @@ def shape_misfit(
     so a pure traveling wave scores near zero when shift = c*t.  window
     restricts the comparison to [lo, hi] in x.
     """
+    from scipy.interpolate import CubicSpline
+
     x = grid.x
     mask = np.ones(grid.n, dtype=bool)
     if window is not None:

@@ -43,7 +43,6 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .csvio import write_csv
 from .errors import IntegrationError, NumericsError
@@ -177,25 +176,28 @@ class BoundsCheck:
 
 
 def vector_field(u, v, params: WaveParams):
-    """Right-hand side (u', v') of the profile system; vectorized."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """Right-hand side (u', v') of the profile system.
+
+    u and v are floats or arrays of one shape: the solver callback passes
+    floats, the shape report arrays, and both get the same operations in
+    the same order.
+    """
     dc = params.delta * params.c
     du = v / dc
     dv = params.c * u + u / (u - params.c) - 0.5 * u * u + params.epsilon * v / dc
     return du, dv
 
 
-def _jacobian(y, params):
-    u = y[0]
-    dc = params.delta * params.c
+def _force_slope(u, params: WaveParams):
+    """d(v')/du, the lower-left entry of the Jacobian; floats or arrays."""
     d = u - params.c
-    return np.array(
-        [
-            [0.0, 1.0 / dc],
-            [params.c - params.c / (d * d) - u, params.epsilon / dc],
-        ]
-    )
+    return params.c - params.c / (d * d) - u
+
+
+def _jacobian(u: float, params: WaveParams) -> np.ndarray:
+    """Jacobian of vector_field at a state with first component u."""
+    dc = params.delta * params.c
+    return np.array([[0.0, 1.0 / dc], [_force_slope(u, params), params.epsilon / dc]])
 
 
 def manifold_seed(params: WaveParams, offset: float) -> PhasePoint:
@@ -234,21 +236,26 @@ def _slow_rate(params: WaveParams) -> float:
 class _GridSweep:
     """LSODA on the reversed field in tau = -xi, sampled at tau = k * spacing.
 
-    Iterating yields (tau, y) for k = 1, 2, ... in order, evaluated from
-    the dense output of the step that covers tau, until the solver reaches
-    t_end.  steps counts the accepted steps taken so far.
+    Iterating yields (tau, [u, v]) as Python floats for k = 1, 2, ... in
+    order, evaluated from the dense output of the step that covers tau,
+    until the solver reaches t_end.  steps counts the accepted steps taken
+    so far.  The callbacks run on floats: LSODA calls them with 2-vectors,
+    where numpy's per-call cost would exceed the arithmetic.
     """
 
     def __init__(self, params, y0, t_end, spacing, opts: ProfileOptions):
-        # Imported here so that commands without a profile never load
-        # scipy.integrate (~2.5 MiB of resident memory).
+        # scipy is imported where it is first used, never at module level:
+        # importing bore_lab or its CLI then loads no scipy module, and a
+        # command pays only for the parts it runs (scipy.integrate alone is
+        # ~2.5 MiB of resident memory, scipy.interpolate ~0.6 s of start-up).
         from scipy.integrate import LSODA
 
         def fun(t, y):
-            return -np.stack(vector_field(y[0], y[1], params))
+            du, dv = vector_field(*y.tolist(), params)
+            return np.array([-du, -dv])
 
         def jac(t, y):
-            return -_jacobian(y, params)
+            return -_jacobian(y.item(0), params)
 
         self.solver = LSODA(fun, 0.0, y0, t_end, rtol=opts.rtol, atol=opts.atol, jac=jac)
         self.spacing = spacing
@@ -268,7 +275,7 @@ class _GridSweep:
             taus = spacing * np.arange(k, last + 1)
             ys = solver.dense_output()(taus)
             k = last + 1
-            yield from zip(taus.tolist(), ys.T)
+            yield from zip(taus.tolist(), ys.T.tolist())
 
 
 def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = None) -> Profile:
@@ -292,11 +299,10 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     seed = manifold_seed(params, offset)
     regime = classify_regime(params)
     spacing = _STEP_FRACTION / _slow_rate(params)
-    y_seed = np.array([seed.u, seed.v])
 
-    sweep = _GridSweep(params, y_seed, opts.max_span, spacing, opts)
+    sweep = _GridSweep(params, np.array([seed.u, seed.v]), opts.max_span, spacing, opts)
     taus = [0.0]
-    ys = [y_seed]
+    ys = [[seed.u, seed.v]]
     dev_peaks: List[float] = []
     oscillatory = regime.kind is RegimeKind.OSCILLATORY
     stop = None
@@ -371,6 +377,8 @@ def _zeros(x, y, dy, mask):
     values differ strictly in sign; i holds its left sample.  Its zero is
     the root of the cubic Hermite interpolant of (y, dy) on the bracket.
     """
+    from scipy.interpolate import CubicHermiteSpline
+
     i = np.flatnonzero(mask[:-1] & mask[1:] & (y[:-1] * y[1:] < 0.0))
     h = x[i + 1] - x[i]
     cubics = CubicHermiteSpline(
@@ -400,6 +408,8 @@ def shape_report(profile: Profile) -> ShapeReport:
     10 * tail_tol) so that roundoff wiggles in the resolved tails are not
     reported as structure.
     """
+    from scipy.interpolate import CubicHermiteSpline
+
     params = profile.params
     u0 = equilibria(params).u_tail
     mask = _core_mask(profile)
@@ -413,8 +423,7 @@ def shape_report(profile: Profile) -> ShapeReport:
     minima = list(zip(locs[~crest].tolist(), vals[~crest].tolist()))
 
     # v'' is the second row of _jacobian applied to (u', v').
-    c, dc = params.c, params.delta * params.c
-    d2v = (c - c / (u - c) ** 2 - u) * du + params.epsilon / dc * dv
+    d2v = _force_slope(u, params) * du + params.epsilon / (params.delta * params.c) * dv
     inflections = _zeros(xi, dv, d2v, mask)[0].tolist()
 
     rate_plus = _fit_right_tail(profile, u0)

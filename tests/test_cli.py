@@ -85,14 +85,31 @@ def test_classify_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's bore_lab."""
     src = str(Path(bore_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-m", "bore_lab", "classify", "--preset", "fig2"],
-                         capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    out = _run_python("-m", "bore_lab", "classify", "--preset", "fig2")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["kind"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported at first use; a module-level import would add its
+    # start-up (~0.6 s for scipy.interpolate) to every command.
+    out = _run_python(
+        "-c",
+        "import sys, bore_lab, bore_lab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,28 @@ def test_vector_field_is_potential_gradient():
         assert dv == pytest.approx((params.epsilon * v - g_prime) / dc, rel=1e-6)
 
 
+def test_float_and_array_fields_agree(mono_profile, osc_profile):
+    # The solver callbacks evaluate vector_field and _jacobian on floats,
+    # shape_report on arrays; both paths must give the same doubles.
+    for profile in (mono_profile, osc_profile):
+        params = profile.params
+        dc = params.delta * params.c
+        v_span = float(np.max(np.abs(profile.v)))
+        uu, vv = np.meshgrid(
+            np.linspace(0.0, float(np.max(profile.u)), 17), np.linspace(-v_span, v_span, 9)
+        )
+        du_arr, dv_arr = vector_field(uu, vv, params)
+        slope_arr = traveling_wave._force_slope(uu, params)
+        for u, v, du, dv, slope in zip(
+            *(a.ravel().tolist() for a in (uu, vv, du_arr, dv_arr, slope_arr))
+        ):
+            du_f, dv_f = vector_field(u, v, params)
+            assert type(du_f) is float and type(dv_f) is float
+            assert (du_f, dv_f) == (du, dv)
+            jac = traveling_wave._jacobian(u, params)
+            assert jac.tolist() == [[0.0, 1.0 / dc], [slope, params.epsilon / dc]]
+
+
 def test_manifold_seed_geometry():
     eq = equilibria(MONO)
     lam_minus, _ = saddle_eigenvalues(MONO)
@@ -410,7 +432,7 @@ def test_downstream_rate_is_the_saddle_eigenvalue(params):
     assert rate == pytest.approx(lam_minus, rel=1e-4)
 
 
-def test_solver_record_describes_the_samples(mono_profile, osc_profile):
+def test_solver_record_describes_the_samples(mono_profile, osc_profile, monkeypatch):
     for profile, stop in ((mono_profile, "tail_tol"), (osc_profile, "shrinking_peaks")):
         record = profile.solver
         assert record.method == "LSODA"
@@ -420,6 +442,23 @@ def test_solver_record_describes_the_samples(mono_profile, osc_profile):
         assert record.seed_offset == profile.seed_offset
         assert 0 < record.steps <= record.rhs_evals
         assert record.jac_evals >= 0
+
+    # Every LSODA field evaluation goes through vector_field, plus one call
+    # for the slope at the half-upstream crossing: a counter wrapped around
+    # vector_field reads the solver's rhs_evals.
+    calls = []
+    field = traveling_wave.vector_field
+
+    def counted(*args):
+        calls.append(None)
+        return field(*args)
+
+    monkeypatch.setattr(traveling_wave, "vector_field", counted)
+    for params, profile in ((MONO, mono_profile), (OSC, osc_profile)):
+        calls.clear()
+        again = integrate_profile(params)
+        assert again.solver == profile.solver
+        assert len(calls) == again.solver.rhs_evals + 1
 
 
 def test_profile_csv_round_trip(tmp_path, mono_profile):
