@@ -18,11 +18,13 @@ the solver's atol within a few decay lengths; ending a connecting orbit on
 the linearized stable manifold is the standard truncation (Beyn, IMA J.
 Numer. Anal. 10, 1990).
 
-The sweep runs scipy's LSODA (Adams/BDF with automatic stiffness
-switching, Petzold 1983) with the analytic Jacobian, one step at a time,
-so rtol/atol alone set the steps.  The exported samples lie on a uniform
-grid in xi, evaluated from the dense output of the step that covers each
-grid point.  The grid spacing is tied to the slow linear rates, |lambda_minus|
+The sweep runs LSODA (Adams/BDF with automatic stiffness switching,
+Hindmarsh 1983, Petzold 1983) with the analytic Jacobian, through scipy's
+ode interface.  The exported samples lie on a uniform grid in xi: for each
+grid point the solver steps past it and returns its own interpolant there
+(ODEPACK's intdy), so the samples never set the steps.  Its first step is
+the one LSODA picks for the whole sweep, and rtol/atol alone set the rest.
+The grid spacing is tied to the slow linear rates, |lambda_minus|
 and the upstream rate, not to the fast node eigenvalue of a regularized
 tail: that one grows like 1/delta, and the backward orbit has no structure
 on its scale.  The grid supports trapezoid quadrature of the dissipation
@@ -39,6 +41,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
@@ -106,7 +110,8 @@ class ProfileOptions:
 class SolverRecord:
     """What the profile sweep did; written as the solver block of shape.json.
 
-    steps, rhs_evals and jac_evals are those of the sweep.  stop names the
+    steps, rhs_evals and jac_evals are those of the sweep, rhs_evals with
+    the field evaluation that sizes its first step.  stop names the
     rule that ended it: "tail_tol" (monotone) or "shrinking_peaks"
     (oscillatory).
     """
@@ -233,49 +238,76 @@ def _slow_rate(params: WaveParams) -> float:
     return max(abs(spec.lambda_minus), tail_rate)
 
 
+def _first_step(f0, y0, t_end: float, opts: ProfileOptions) -> float:
+    """LSODA's own first step for a sweep from t = 0 aimed at tout = t_end.
+
+    ODEPACK's lsoda.f: h0**-2 = 1/(tol t_end**2) + tol max|f0 / ewt|**2,
+    with tol = rtol clamped to [100 u, 1e-3] and ewt = rtol |y0| + atol,
+    the arithmetic in LSODA's order.  f0 is the field at y0.
+    """
+    tol = min(max(opts.rtol, 100.0 * sys.float_info.epsilon), 1e-3)
+    norm = max(abs(f) * (1.0 / (opts.rtol * abs(y) + opts.atol)) for f, y in zip(f0, y0))
+    return min(1.0 / math.sqrt(1.0 / (tol * t_end * t_end) + tol * norm**2), t_end)
+
+
 class _GridSweep:
     """LSODA on the reversed field in tau = -xi, sampled at tau = k * spacing.
 
     Iterating yields (tau, [u, v]) as Python floats for k = 1, 2, ... in
-    order, evaluated from the dense output of the step that covers tau,
-    until the solver reaches t_end.  steps counts the accepted steps taken
-    so far.  The callbacks run on floats: LSODA calls them with 2-vectors,
-    where numpy's per-call cost would exceed the arithmetic.
+    order while tau <= t_end.  Each sample is one call of LSODA's itask 1:
+    the solver steps past tau and returns its own interpolant there.  The
+    first step is the one LSODA would take aimed at t_end, so the grid
+    does not steer the solver, and the per-call step cap is lifted, since
+    one call may take many steps.  counts() reads ODEPACK's step, field
+    and Jacobian counters (IWORK 11-13); its field count adds the one
+    evaluation that sizes the first step.  A negative return code or a
+    non-finite sample raises IntegrationError; the caller silences
+    scipy's UserWarning for the former (see integrate_profile).  The
+    callbacks run on floats: LSODA calls them with 2-vectors, where
+    numpy's per-call cost would exceed the arithmetic.
     """
 
     def __init__(self, params, y0, t_end, spacing, opts: ProfileOptions):
         # scipy is imported where it is first used, never at module level:
         # importing bore_lab or its CLI then loads no scipy module, and a
-        # command pays only for the parts it runs (scipy.integrate alone is
-        # ~2.5 MiB of resident memory, scipy.interpolate ~0.6 s of start-up).
-        from scipy.integrate import LSODA
+        # command pays only for the parts it runs (scipy.integrate, home of
+        # ode and its compiled LSODA, is ~2.5 MiB of resident memory alone,
+        # scipy.interpolate ~0.6 s of start-up).
+        from scipy.integrate import ode
 
         def fun(t, y):
             du, dv = vector_field(*y.tolist(), params)
-            return np.array([-du, -dv])
+            return [-du, -dv]
 
         def jac(t, y):
             return -_jacobian(y.item(0), params)
 
-        self.solver = LSODA(fun, 0.0, y0, t_end, rtol=opts.rtol, atol=opts.atol, jac=jac)
+        h0 = _first_step(fun(0.0, y0), y0.tolist(), t_end, opts)
+        self.solver = ode(fun, jac).set_integrator(
+            "lsoda", rtol=opts.rtol, atol=opts.atol, first_step=h0, nsteps=2**31 - 1
+        )
+        self.solver.set_initial_value(y0, 0.0)
         self.spacing = spacing
-        self.steps = 0
+        self.last = int(math.floor(t_end / spacing))
+
+    def counts(self) -> Tuple[int, int, int]:
+        """(steps, rhs_evals, jac_evals) so far; see the class docstring."""
+        steps, rhs_evals, jac_evals = self.solver._integrator.iwork[10:13].tolist()
+        return steps, rhs_evals + 1, jac_evals
 
     def __iter__(self):
         solver, spacing = self.solver, self.spacing
-        k = 1
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(f"LSODA broke down at tau = {solver.t:.6g}: {message}")
-            self.steps += 1
-            last = int(math.floor(solver.t / spacing))
-            if last < k:
-                continue
-            taus = spacing * np.arange(k, last + 1)
-            ys = solver.dense_output()(taus)
-            k = last + 1
-            yield from zip(taus.tolist(), ys.T.tolist())
+        for k in range(1, self.last + 1):
+            tau = k * spacing
+            u, v = solver.integrate(tau).tolist()
+            code = solver.get_return_code()
+            if code < 0:
+                raise IntegrationError(
+                    f"LSODA failed at tau = {solver.t:.6g} with return code {code}"
+                )
+            if not (math.isfinite(u) and math.isfinite(v)):
+                raise IntegrationError(f"non-finite state at xi = {-tau}")
+            yield tau, [u, v]
 
 
 def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = None) -> Profile:
@@ -284,8 +316,8 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     Raises ValueError for epsilon = 0 (the dissipationless system has no
     bore-type traveling wave: the orbit through the seed is homoclinic and
     never settles on the upstream state) and IntegrationError when the
-    sweep exhausts max_span, the solver breaks down, or the orbit strays
-    next to the singular line u = c.
+    sweep exhausts max_span, the solver breaks down, the orbit turns
+    non-finite, or it strays next to the singular line u = c.
     """
     if params.epsilon <= 0.0:
         raise ValueError(
@@ -306,31 +338,35 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     dev_peaks: List[float] = []
     oscillatory = regime.kind is RegimeKind.OSCILLATORY
     stop = None
-    for tau, y in sweep:
-        taus.append(tau)
-        ys.append(y)
-        u_new, v_new = y
-        if u_new > params.c - 1e-9 * params.c:
-            raise IntegrationError(
-                f"orbit approached the singular line u = c at xi = {-tau}"
-            )
-        dev_new = abs(u_new - u0)
-        if not oscillatory:
-            if dev_new + abs(v_new) < opts.tail_tol:
-                stop = "tail_tol"
-                break
-        elif len(ys) >= 3:
-            d2 = abs(ys[-2][0] - u0)
-            d3 = abs(ys[-3][0] - u0)
-            if d2 >= dev_new and d2 > d3:
-                dev_peaks.append(d2)
-                if (
-                    len(dev_peaks) >= 3
-                    and dev_peaks[-1] < opts.tail_tol
-                    and dev_peaks[-3] > dev_peaks[-2] > dev_peaks[-1]
-                ):
-                    stop = "shrinking_peaks"
+    with warnings.catch_warnings():
+        # The sweep raises IntegrationError on a negative return code;
+        # scipy's UserWarning for it would only repeat that.
+        warnings.filterwarnings("ignore", "lsoda: ", UserWarning)
+        for tau, y in sweep:
+            taus.append(tau)
+            ys.append(y)
+            u_new, v_new = y
+            if u_new > params.c - 1e-9 * params.c:
+                raise IntegrationError(
+                    f"orbit approached the singular line u = c at xi = {-tau}"
+                )
+            dev_new = abs(u_new - u0)
+            if not oscillatory:
+                if dev_new + abs(v_new) < opts.tail_tol:
+                    stop = "tail_tol"
                     break
+            elif len(ys) >= 3:
+                d2 = abs(ys[-2][0] - u0)
+                d3 = abs(ys[-3][0] - u0)
+                if d2 >= dev_new and d2 > d3:
+                    dev_peaks.append(d2)
+                    if (
+                        len(dev_peaks) >= 3
+                        and dev_peaks[-1] < opts.tail_tol
+                        and dev_peaks[-3] > dev_peaks[-2] > dev_peaks[-1]
+                    ):
+                        stop = "shrinking_peaks"
+                        break
     if stop is None:
         raise IntegrationError(
             f"upstream state not reached within max_span = {opts.max_span}; "
@@ -348,11 +384,12 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     xi = xi - crossings[-1]
 
     eta = surface_elevation(u_arr, params.c)
+    steps, rhs_evals, jac_evals = sweep.counts()
     record = SolverRecord(
         method="LSODA",
-        steps=sweep.steps,
-        rhs_evals=sweep.solver.nfev,
-        jac_evals=int(sweep.solver.njev),
+        steps=steps,
+        rhs_evals=rhs_evals,
+        jac_evals=jac_evals,
         samples=int(xi.size),
         xi_span=(float(xi[0]), float(xi[-1])),
         seed_offset=offset,

@@ -172,6 +172,31 @@ def test_exhausted_span_raises():
         integrate_profile(MONO, ProfileOptions(max_span=5.0))
 
 
+def test_non_finite_field_fails_at_once(mono_profile, monkeypatch):
+    # LSODA's error test compares NaN, so it accepts NaN steps; the sweep
+    # must stop at the first NaN sample, not run on to max_span.
+    field = traveling_wave.vector_field
+    calls = []
+
+    def poisoned(u, v, params):
+        calls.append(None)
+        return (math.nan, math.nan) if len(calls) > 300 else field(u, v, params)
+
+    monkeypatch.setattr(traveling_wave, "vector_field", poisoned)
+    with pytest.raises(IntegrationError, match="non-finite") as info:
+        integrate_profile(MONO)
+    xi = float(str(info.value).rsplit("= ", 1)[1])
+    # It stops inside the span of the clean orbit, far short of max_span.
+    assert -xi < mono_profile.xi[-1] - mono_profile.xi[0]
+
+
+def test_solver_failure_is_an_integration_error():
+    # Tolerances far below the unit roundoff: LSODA returns a negative
+    # code at once, and scipy's warning for it does not escape.
+    with pytest.raises(IntegrationError, match=r"return code -\d"):
+        integrate_profile(MONO, ProfileOptions(rtol=1e-20, atol=1e-30))
+
+
 # ---------------------------------------------------------------------------
 # monotone profile anatomy
 
@@ -292,6 +317,21 @@ def test_osc_features_agree_with_denser_sampling(osc_shape, monkeypatch):
     assert np.max(np.abs(a - b)) < 3e-8
 
 
+@pytest.mark.parametrize("fixture", ["mono_profile", "osc_profile"])
+def test_sampling_grid_does_not_steer_the_solver(fixture, request, monkeypatch):
+    # LSODA's first step is aimed at max_span, not at the first sample, so
+    # a 10x denser grid takes the very same steps.
+    profile = request.getfixturevalue(fixture)
+    monkeypatch.setattr(traveling_wave, "_STEP_FRACTION", 0.004)
+    dense = integrate_profile(profile.params).solver
+    record = profile.solver
+    assert (dense.steps, dense.rhs_evals, dense.jac_evals) == (
+        record.steps,
+        record.rhs_evals,
+        record.jac_evals,
+    )
+
+
 def test_osc_triangle_check_refuses(osc_profile):
     with pytest.raises(ValueError):
         check_triangle_confinement(osc_profile)
@@ -366,6 +406,14 @@ def test_sample_count_does_not_grow_as_delta_shrinks(mono_profile):
     wide = mono_profile.xi.size  # delta = 0.2
     narrow = integrate_profile(WaveParams(MONO.c, 0.02, MONO.epsilon)).xi.size
     assert max(wide, narrow) <= 1.5 * min(wide, narrow)
+
+
+def test_sweep_takes_many_steps_between_samples():
+    # Some samples of this orbit take more steps than the per-call cap
+    # scipy sets by default (500).
+    record = integrate_profile(WaveParams(8.0, 0.5, 0.5)).solver
+    assert record.stop == "shrinking_peaks"
+    assert (record.steps, record.jac_evals) == (52719, 2533)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +491,9 @@ def test_solver_record_describes_the_samples(mono_profile, osc_profile, monkeypa
         assert 0 < record.steps <= record.rhs_evals
         assert record.jac_evals >= 0
 
-    # Every LSODA field evaluation goes through vector_field, plus one call
-    # for the slope at the half-upstream crossing: a counter wrapped around
+    # Every field evaluation of the sweep (LSODA's and the one that sizes
+    # its first step) goes through vector_field, plus one call for the
+    # slope at the half-upstream crossing: a counter wrapped around
     # vector_field reads the solver's rhs_evals.
     calls = []
     field = traveling_wave.vector_field
