@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .config import (
     preset_note,
     preset_pairs,
 )
-from .csvio import write_csv
+from .csvio import write_csv, write_json
 from .errors import ConfigError, NumericsError
 from .pde import (
     RunConfig,
@@ -204,16 +204,7 @@ def cmd_evolve(args) -> int:
         write_snapshot_manifest(config, snap, out_dir / f"snapshot_{i:03d}.json")
     (out_dir / "plot.gp").write_text(_evolve_plot(len(snapshots), "snapshot"))
     if args.reference is not None:
-        ref_config = RunConfig(
-            system=SystemKind.SHALLOW_WATER,
-            grid=config.grid,
-            ic=config.ic,
-            dt=config.dt,
-            t_end=config.t_end,
-            delta=0.0,
-            epsilon=0.0,
-            snapshot_times=config.snapshot_times,
-        )
+        ref_config = replace(config, system=SystemKind.SHALLOW_WATER, delta=0.0, epsilon=0.0)
         for i, snap in enumerate(evolve(ref_config)):
             write_snapshot_csv(snap, config.grid, out_dir / f"reference_{i:03d}.csv")
             write_snapshot_manifest(ref_config, snap, out_dir / f"reference_{i:03d}.json")
@@ -243,9 +234,7 @@ def cmd_error_study(args) -> int:
         }
         for fit in result.fits
     ]
-    with open(out_dir / "fits.json", "w") as fh:
-        json.dump(fits, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "fits.json", fits)
     print(f"wrote {len(result.series)} series to {out_dir}")
     return 0
 
@@ -335,9 +324,7 @@ def cmd_overlay(args) -> int:
         "crest_data": float(np.max(e_data)),
         "crest_difference": float(np.max(e_model) - np.max(e_data)),
     }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, report)
     print(f"wrote {args.out} (rms {report['rms_misfit']:.4g})")
     return 0
 

@@ -1,6 +1,8 @@
-"""The one CSV writer behind every table bore_lab exports."""
+"""The one CSV writer and the one JSON writer behind every file bore_lab exports."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -23,3 +25,10 @@ def write_csv(path, header: str, columns) -> None:
         for start in range(0, table.shape[0], _BLOCK_ROWS):
             block = table[start : start + _BLOCK_ROWS]
             fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def write_json(path, data) -> None:
+    """Write data as JSON indented by two spaces, with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")

@@ -22,7 +22,6 @@ reduction lives here as well, used as the classical-shock reference.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_csv, write_json
 from .errors import ConfigError, NumericsError
 
 
@@ -44,6 +43,12 @@ class SystemKind(str, Enum):
     PEREGRINE_DISSIPATIVE = "peregrine-dissipative"
     PEREGRINE_INVISCID = "peregrine-inviscid"
     SHALLOW_WATER = "shallow-water"
+
+
+# Largest grid accepted, 160 times the presets' 6400 cells: one field on
+# it is 8 MiB, where a slip in x_min, x_max or dx could otherwise ask
+# numpy for terabytes.
+MAX_GRID_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,8 @@ class Grid:
             raise ConfigError(f"empty domain [{self.x_min}, {self.x_max}]")
         if self.n < 16:
             raise ConfigError(f"grid needs n >= 16, got {self.n}")
+        if self.n > MAX_GRID_CELLS:
+            raise ConfigError(f"grid needs n <= {MAX_GRID_CELLS} (2**20), got {self.n}")
         object.__setattr__(self, "boundary", BoundaryKind(self.boundary))
 
     @property
@@ -738,9 +745,7 @@ def snapshot_manifest(config: RunConfig, state: FieldPair) -> dict:
 
 
 def write_snapshot_manifest(config: RunConfig, state: FieldPair, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(snapshot_manifest(config, state), fh, indent=2)
-        fh.write("\n")
+    write_json(path, snapshot_manifest(config, state))
 
 
 def write_error_series_csv(series: ErrorSeries, path) -> None:

@@ -39,7 +39,6 @@ solver, only a Profile.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import warnings
@@ -48,7 +47,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_csv, write_json
 from .errors import IntegrationError, NumericsError
 from .waveform import (
     ComplexConjugate,
@@ -250,54 +249,55 @@ def _first_step(f0, y0, t_end: float, opts: ProfileOptions) -> float:
     return min(1.0 / math.sqrt(1.0 / (tol * t_end * t_end) + tol * norm**2), t_end)
 
 
-class _GridSweep:
-    """LSODA on the reversed field in tau = -xi, sampled at tau = k * spacing.
+def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, opts: ProfileOptions):
+    """LSODA on the reversed field in tau = -xi from seed, sampled at tau = k * spacing.
 
-    Iterating yields (tau, [u, v]) as Python floats for k = 1, 2, ... in
-    order while tau <= t_end.  Each sample is one call of LSODA's itask 1:
-    the solver steps past tau and returns its own interpolant there.  The
-    first step is the one LSODA would take aimed at t_end, so the grid
-    does not steer the solver, and the per-call step cap is lifted, since
-    one call may take many steps.  counts() reads ODEPACK's step, field
-    and Jacobian counters (IWORK 11-13); its field count adds the one
-    evaluation that sizes the first step.  A negative return code or a
-    non-finite sample raises IntegrationError; the caller silences
-    scipy's UserWarning for the former (see integrate_profile).  The
-    callbacks run on floats: LSODA calls them with 2-vectors, where
-    numpy's per-call cost would exceed the arithmetic.
+    Returns (taus, us, vs, stop, counts): the samples as float lists in
+    tau order, seed first, the name of the stopping rule that ended the
+    sweep, and (steps, rhs_evals, jac_evals).  Each sample is one call of
+    LSODA's itask 1: the solver steps past tau and returns its own
+    interpolant there.  The first step is the one LSODA would take aimed
+    at tout = max_span, so the grid does not steer the solver, and the
+    per-call step cap is lifted, since one call may take many steps.  The
+    counts are ODEPACK's step, field and Jacobian counters (IWORK 11-13),
+    the field count plus the one evaluation that sizes the first step.
+
+    A negative return code, a non-finite sample, a sample next to the
+    singular line u = c, or reaching max_span without a stop raises
+    IntegrationError.  The callbacks run on floats: LSODA calls them with
+    2-vectors, where numpy's per-call cost would exceed the arithmetic.
     """
+    # scipy is imported where it is first used, never at module level:
+    # importing bore_lab or its CLI then loads no scipy module, and a
+    # command pays only for the parts it runs (scipy.integrate, home of
+    # ode and its compiled LSODA, is ~2.5 MiB of resident memory alone,
+    # scipy.interpolate ~0.6 s of start-up).
+    from scipy.integrate import ode
 
-    def __init__(self, params, y0, t_end, spacing, opts: ProfileOptions):
-        # scipy is imported where it is first used, never at module level:
-        # importing bore_lab or its CLI then loads no scipy module, and a
-        # command pays only for the parts it runs (scipy.integrate, home of
-        # ode and its compiled LSODA, is ~2.5 MiB of resident memory alone,
-        # scipy.interpolate ~0.6 s of start-up).
-        from scipy.integrate import ode
+    def fun(t, y):
+        du, dv = vector_field(*y.tolist(), params)
+        return [-du, -dv]
 
-        def fun(t, y):
-            du, dv = vector_field(*y.tolist(), params)
-            return [-du, -dv]
+    def jac(t, y):
+        return -_jacobian(y.item(0), params)
 
-        def jac(t, y):
-            return -_jacobian(y.item(0), params)
+    y0 = np.array([seed.u, seed.v])
+    h0 = _first_step(fun(0.0, y0), [seed.u, seed.v], opts.max_span, opts)
+    solver = ode(fun, jac).set_integrator(
+        "lsoda", rtol=opts.rtol, atol=opts.atol, first_step=h0, nsteps=2**31 - 1
+    )
+    solver.set_initial_value(y0, 0.0)
 
-        h0 = _first_step(fun(0.0, y0), y0.tolist(), t_end, opts)
-        self.solver = ode(fun, jac).set_integrator(
-            "lsoda", rtol=opts.rtol, atol=opts.atol, first_step=h0, nsteps=2**31 - 1
-        )
-        self.solver.set_initial_value(y0, 0.0)
-        self.spacing = spacing
-        self.last = int(math.floor(t_end / spacing))
-
-    def counts(self) -> Tuple[int, int, int]:
-        """(steps, rhs_evals, jac_evals) so far; see the class docstring."""
-        steps, rhs_evals, jac_evals = self.solver._integrator.iwork[10:13].tolist()
-        return steps, rhs_evals + 1, jac_evals
-
-    def __iter__(self):
-        solver, spacing = self.solver, self.spacing
-        for k in range(1, self.last + 1):
+    u0 = equilibria(params).u_tail
+    oscillatory = classify_regime(params).kind is RegimeKind.OSCILLATORY
+    taus, us, vs = [0.0], [seed.u], [seed.v]
+    dev_peaks: List[float] = []
+    stop = None
+    with warnings.catch_warnings():
+        # A negative return code raises IntegrationError below; scipy's
+        # UserWarning for it would only repeat that.
+        warnings.filterwarnings("ignore", "lsoda: ", UserWarning)
+        for k in range(1, int(math.floor(opts.max_span / spacing)) + 1):
             tau = k * spacing
             u, v = solver.integrate(tau).tolist()
             code = solver.get_return_code()
@@ -307,7 +307,36 @@ class _GridSweep:
                 )
             if not (math.isfinite(u) and math.isfinite(v)):
                 raise IntegrationError(f"non-finite state at xi = {-tau}")
-            yield tau, [u, v]
+            if u > params.c - 1e-9 * params.c:
+                raise IntegrationError(
+                    f"orbit approached the singular line u = c at xi = {-tau}"
+                )
+            taus.append(tau)
+            us.append(u)
+            vs.append(v)
+            dev = abs(u - u0)
+            if not oscillatory:
+                if dev + abs(v) < opts.tail_tol:
+                    stop = "tail_tol"
+                    break
+            elif len(us) >= 3:
+                d2 = abs(us[-2] - u0)
+                if d2 >= dev and d2 > abs(us[-3] - u0):
+                    dev_peaks.append(d2)
+                    if (
+                        len(dev_peaks) >= 3
+                        and dev_peaks[-1] < opts.tail_tol
+                        and dev_peaks[-3] > dev_peaks[-2] > dev_peaks[-1]
+                    ):
+                        stop = "shrinking_peaks"
+                        break
+    if stop is None:
+        raise IntegrationError(
+            f"upstream state not reached within max_span = {opts.max_span}; "
+            f"|u - u_tail| = {abs(us[-1] - u0):.3e} at xi = {-taus[-1]:.1f}"
+        )
+    steps, rhs_evals, jac_evals = solver._integrator.iwork[10:13].tolist()
+    return taus, us, vs, stop, (steps, rhs_evals + 1, jac_evals)
 
 
 def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = None) -> Profile:
@@ -325,56 +354,15 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
             "no traveling wave of bore type"
         )
     opts = options or ProfileOptions()
-    eq = equilibria(params)
-    u0 = eq.u_tail
+    u0 = equilibria(params).u_tail
     offset = opts.seed_offset if opts.seed_offset is not None else 1e-8 * u0
     seed = manifold_seed(params, offset)
-    regime = classify_regime(params)
     spacing = _STEP_FRACTION / _slow_rate(params)
-
-    sweep = _GridSweep(params, np.array([seed.u, seed.v]), opts.max_span, spacing, opts)
-    taus = [0.0]
-    ys = [[seed.u, seed.v]]
-    dev_peaks: List[float] = []
-    oscillatory = regime.kind is RegimeKind.OSCILLATORY
-    stop = None
-    with warnings.catch_warnings():
-        # The sweep raises IntegrationError on a negative return code;
-        # scipy's UserWarning for it would only repeat that.
-        warnings.filterwarnings("ignore", "lsoda: ", UserWarning)
-        for tau, y in sweep:
-            taus.append(tau)
-            ys.append(y)
-            u_new, v_new = y
-            if u_new > params.c - 1e-9 * params.c:
-                raise IntegrationError(
-                    f"orbit approached the singular line u = c at xi = {-tau}"
-                )
-            dev_new = abs(u_new - u0)
-            if not oscillatory:
-                if dev_new + abs(v_new) < opts.tail_tol:
-                    stop = "tail_tol"
-                    break
-            elif len(ys) >= 3:
-                d2 = abs(ys[-2][0] - u0)
-                d3 = abs(ys[-3][0] - u0)
-                if d2 >= dev_new and d2 > d3:
-                    dev_peaks.append(d2)
-                    if (
-                        len(dev_peaks) >= 3
-                        and dev_peaks[-1] < opts.tail_tol
-                        and dev_peaks[-3] > dev_peaks[-2] > dev_peaks[-1]
-                    ):
-                        stop = "shrinking_peaks"
-                        break
-    if stop is None:
-        raise IntegrationError(
-            f"upstream state not reached within max_span = {opts.max_span}; "
-            f"|u - u_tail| = {abs(ys[-1][0] - u0):.3e} at xi = {-taus[-1]:.1f}"
-        )
+    taus, us, vs, stop, (steps, rhs_evals, jac_evals) = _sweep(params, seed, spacing, opts)
 
     xi = -np.array(taus[::-1])
-    u_arr, v_arr = np.array(ys[::-1]).T
+    u_arr = np.array(us[::-1])
+    v_arr = np.array(vs[::-1])
 
     # Normalize: xi = 0 at the rightmost crossing of u = u_tail / 2.
     du, _ = vector_field(u_arr, v_arr, params)
@@ -384,7 +372,6 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     xi = xi - crossings[-1]
 
     eta = surface_elevation(u_arr, params.c)
-    steps, rhs_evals, jac_evals = sweep.counts()
     record = SolverRecord(
         method="LSODA",
         steps=steps,
@@ -664,19 +651,7 @@ def load_profile_csv(path) -> dict:
 
 def shape_report_dict(report: ShapeReport) -> dict:
     """JSON-ready dictionary form of a ShapeReport."""
-    return {
-        "regime_observed": report.regime_observed,
-        "maxima": [[float(a), float(b)] for a, b in report.maxima],
-        "minima": [[float(a), float(b)] for a, b in report.minima],
-        "inflections": [float(a) for a in report.inflections],
-        "tail_decay_rate_plus": float(report.tail_decay_rate_plus),
-        "tail_decay_rate_minus": None
-        if report.tail_decay_rate_minus is None
-        else float(report.tail_decay_rate_minus),
-        "tail_frequency": None
-        if report.tail_frequency is None
-        else float(report.tail_frequency),
-    }
+    return asdict(report)
 
 
 def write_shape_report_json(report: ShapeReport, path, solver: Optional[SolverRecord] = None) -> None:
@@ -684,6 +659,4 @@ def write_shape_report_json(report: ShapeReport, path, solver: Optional[SolverRe
     data = shape_report_dict(report)
     if solver is not None:
         data["solver"] = asdict(solver)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    write_json(path, data)

@@ -368,6 +368,8 @@ PROFILE_FIG2 = ["profile", "--preset", "fig2", "--out-dir", "{out}"]
                       "--out-dir", "{out}"], SMALL_RUN, "delta", id="profile-delta-inf"),
         pytest.param(EVOLVE, with_value(SMALL_RUN, "x_min", "-inf"), "x_min",
                      id="evolve-x_min-inf"),
+        pytest.param(EVOLVE, with_value(with_value(SMALL_RUN, "x_min", "-1e12"), "x_max", "1e12"),
+                     "n <= 1048576 (2**20)", id="evolve-8e12-cells"),
         pytest.param(EVOLVE, with_value(SMALL_RUN, "epsilon", "nan"), "epsilon",
                      id="evolve-epsilon-nan"),
         pytest.param(EVOLVE, with_value(SMALL_RUN, "epsilon", "inf"), "epsilon",

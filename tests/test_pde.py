@@ -13,6 +13,7 @@ from bore_lab.pde import (
     _checked,
     FieldPair,
     Gaussian,
+    MAX_GRID_CELLS,
     Grid,
     RunConfig,
     SmoothedRiemann,
@@ -74,6 +75,12 @@ def test_grid_validation():
         Grid(1.0, 1.0, 64)
     with pytest.raises(ConfigError):
         Grid(0.0, 1.0, 8)
+    # The cell cap holds at construction, before any array exists.
+    assert Grid(0.0, 1.0, MAX_GRID_CELLS).n == 2**20
+    with pytest.raises(ConfigError, match=r"n <= 1048576 \(2\*\*20\)"):
+        Grid(0.0, 1.0, MAX_GRID_CELLS + 1)
+    with pytest.raises(ConfigError, match=r"got 8000000000000"):
+        Grid(-1e12, 1e12, 8 * 10**12)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 64, "absorbing")
 
