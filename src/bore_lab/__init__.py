@@ -23,7 +23,6 @@ from .waveform import (
     critical_epsilon,
     dissipated_energy,
     empirical_bore_amplitude,
-    empirical_bore_speed,
     equilibria,
     froude_from_tail,
     lyapunov_value,
@@ -50,9 +49,7 @@ from .traveling_wave import (
     load_profile_csv,
     lyapunov_backstep,
     manifold_seed,
-    polyline_self_intersections,
     shape_report,
-    shape_report_dict,
     vector_field,
     write_profile_csv,
     write_shape_report_json,

@@ -31,6 +31,7 @@ from .config import (
     load_config,
     preset_note,
     preset_pairs,
+    write_config,
 )
 from .csvio import write_csv, write_json
 from .errors import ConfigError, NumericsError
@@ -358,13 +359,7 @@ def cmd_preset_export(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.name}.conf"
-    with open(path, "w") as fh:
-        fh.write(f"# {args.name}: {preset_note(args.name)}\n")
-        for key, value in pairs.items():
-            if isinstance(value, float):
-                fh.write(f"{key} = {value:.17g}\n")
-            else:
-                fh.write(f"{key} = {value}\n")
+    write_config(pairs, path, comment=f"{args.name}: {preset_note(args.name)}")
     if pairs.get("kind") == "potential":
         _export_potential(pairs, out_dir)
     print(f"wrote {path}")
@@ -447,10 +442,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,9 @@ ignored.  Keys are validated against a fixed vocabulary; anything else is
 rejected with its line number.  A `preset` key expands to that preset's
 pairs first, and explicit keys in the same file override the expansion.
 
-Two config shapes exist.  Profile configs carry c/delta/epsilon (plus
-optional integrator knobs) and load to WaveParams; evolution configs carry
-a `system` key and load to a RunConfig.
+Two config shapes exist.  Profile configs carry c/delta/epsilon (the
+integrator settings are command-line flags of `profile`) and load to
+WaveParams; evolution configs carry a `system` key and load to a RunConfig.
 """
 
 from __future__ import annotations
@@ -134,11 +134,7 @@ def parse_config_text(text: str) -> Dict[str, str]:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         pairs[key] = value
     if "preset" in pairs:
-        name = pairs.pop("preset")
-        if name not in PRESETS:
-            known = ", ".join(sorted(PRESETS))
-            raise ConfigError(f"unknown preset {name!r}; known presets: {known}")
-        expanded = {k: _format_value(v) for k, v in PRESETS[name][0].items()}
+        expanded = {k: _format_value(v) for k, v in _preset(pairs.pop("preset"))[0].items()}
         expanded.update(pairs)
         pairs = expanded
     return pairs
@@ -150,13 +146,16 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-def write_config(pairs: Dict[str, object], path) -> None:
-    """Write a flat config file; floats at 17 significant digits."""
+def write_config(pairs: Dict[str, object], path, comment: str = "") -> None:
+    """Write a flat config file, floats at 17 significant digits, after a
+    `# comment` first line when comment is given."""
+    lines = [f"# {comment}\n"] if comment else []
+    for key, value in pairs.items():
+        if key not in _ALL_KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        lines.append(f"{key} = {_format_value(value)}\n")
     with open(path, "w") as fh:
-        for key in pairs:
-            if key not in _ALL_KEYS:
-                raise ConfigError(f"unknown key {key!r}")
-            fh.write(f"{key} = {_format_value(pairs[key])}\n")
+        fh.writelines(lines)
 
 
 def _take_float(pairs: Dict[str, str], key: str, default=None) -> float:
@@ -261,14 +260,16 @@ def load_config(path) -> Union[RunConfig, WaveParams]:
     return build_wave_params(pairs)
 
 
-def preset_pairs(name: str) -> Dict[str, object]:
+def _preset(name: str) -> Tuple[Dict[str, object], str]:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r}; known presets: {known}")
-    return dict(PRESETS[name][0])
+    return PRESETS[name]
+
+
+def preset_pairs(name: str) -> Dict[str, object]:
+    return dict(_preset(name)[0])
 
 
 def preset_note(name: str) -> str:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}")
-    return PRESETS[name][1]
+    return _preset(name)[1]

@@ -50,6 +50,15 @@ class SystemKind(str, Enum):
 # numpy for terabytes.
 MAX_GRID_CELLS = 2**20
 
+# Largest run accepted, in cell-steps (steps x cells x batch rows): over
+# 100 times the largest preset or bench run, an error study of 5 rows x
+# 1000 steps x 3200 cells = 1.6e7, and a few minutes of RK4.
+MAX_CELL_STEPS = 2 * 10**9
+
+# End of RK4's stability interval on the negative real axis (Hairer &
+# Wanner, Solving ODEs II, IV.2).
+_RK4_REAL_LIMIT = 2.785
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -145,17 +154,44 @@ def make_initial(ic: InitialCondition, grid: Grid) -> FieldPair:
 # difference operators: along the last axis, so each row of an (m, n) batch
 # comes out exactly as a 1-D call on it would
 
-def _pad(y: np.ndarray, grid: Grid, parity: int, width: int) -> np.ndarray:
-    n = y.shape[-1]
-    p = np.empty(y.shape[:-1] + (n + 2 * width,))
-    p[..., width:-width] = y
+def _fill_ghosts(p: np.ndarray, grid: Grid, parity) -> None:
+    """Fill the ghost cells around grid.n interior cells on p's last axis:
+    wrapped if periodic, else mirrored times parity (a sign, or one per row)."""
+    n = grid.n
+    w = (p.shape[-1] - n) // 2
     if grid.boundary is BoundaryKind.PERIODIC:
-        p[..., :width] = y[..., n - width :]
-        p[..., -width:] = y[..., :width]
+        p[..., :w] = p[..., n : n + w]
+        p[..., n + w :] = p[..., w : 2 * w]
     else:
-        np.multiply(y[..., width - 1 :: -1], parity, out=p[..., :width])
-        np.multiply(y[..., : -width - 1 : -1], parity, out=p[..., -width:])
+        np.multiply(p[..., 2 * w - 1 : w - 1 : -1], parity, out=p[..., :w])
+        np.multiply(p[..., n + w - 1 : n - 1 : -1], parity, out=p[..., n + w :])
+
+
+def _pad(y: np.ndarray, grid: Grid, parity) -> np.ndarray:
+    p = np.empty(y.shape[:-1] + (y.shape[-1] + 4,))
+    p[..., 2:-2] = y
+    _fill_ghosts(p, grid, parity)
     return p
+
+
+def _d1(p: np.ndarray, dx: float, out=None) -> np.ndarray:
+    """Five-point central d/dx of rows padded by two ghost cells each end."""
+    n = p.shape[-1] - 4
+    d = np.subtract(p[..., 3 : n + 3], p[..., 1 : n + 1], out=out)
+    d *= 8.0
+    d += p[..., 0:n]
+    d -= p[..., 4:]
+    d /= 12.0 * dx
+    return d
+
+
+def _d2(p: np.ndarray, dx: float, out=None, scratch=None) -> np.ndarray:
+    """Three-point central d2/dx2 of rows padded as for _d1; scratch gets 2p."""
+    n = p.shape[-1] - 4
+    d = np.add(p[..., 1 : n + 1], p[..., 3 : n + 3], out=out)
+    d -= np.multiply(p[..., 2 : n + 2], 2.0, out=scratch)
+    d /= dx * dx
+    return d
 
 
 def first_difference(y: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
@@ -165,24 +201,12 @@ def first_difference(y: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
     even about the walls (eta), -1 for odd fields (u).  Ignored on
     periodic grids.
     """
-    p = _pad(y, grid, parity, 2)
-    n = y.shape[-1]
-    d = p[..., 3 : n + 3] - p[..., 1 : n + 1]
-    d *= 8.0
-    d += p[..., 0:n]
-    d -= p[..., 4:]
-    d /= 12.0 * grid.dx
-    return d
+    return _d1(_pad(y, grid, parity), grid.dx)
 
 
 def second_difference(y: np.ndarray, grid: Grid, parity: int = 1) -> np.ndarray:
     """Second-order central d2/dx2 along the last axis, same closure convention."""
-    p = _pad(y, grid, parity, 1)
-    n = y.shape[-1]
-    d = p[..., 0:n] + p[..., 2:]
-    d -= 2.0 * p[..., 1 : n + 1]
-    d /= grid.dx * grid.dx
-    return d
+    return _d2(_pad(y, grid, parity), grid.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -275,33 +299,20 @@ class _Stage:
     def rate(self, k: np.ndarray, delta: float, epsilon, dissipative: bool) -> None:
         """Rates of the state in the buffer interior into k[0] (eta_t) and k[1] (u_t)."""
         grid, p = self.grid, self.pad
-        n = grid.n
         if np.min(self.eta) <= -1.0:
             raise NumericsError("vacuum state: 1 + eta reached zero")
         flux = p[0, ..., 2:-2]
         np.subtract(-1.0, self.eta, out=flux)
         flux *= self.u
-        if grid.boundary is BoundaryKind.PERIODIC:
-            p[..., :2] = p[..., n : n + 2]
-            p[..., n + 2 :] = p[..., 2:4]
-        else:
-            np.multiply(p[..., 3:1:-1], self.parity, out=p[..., :2])
-            np.multiply(p[..., n + 1 : n - 1 : -1], self.parity, out=p[..., n + 2 :])
-        np.subtract(p[..., 3 : n + 3], p[..., 1 : n + 1], out=k)
-        k *= 8.0
-        k += p[..., 0:n]
-        k -= p[..., 4:]
-        k /= 12.0 * grid.dx
+        _fill_ghosts(p, grid, self.parity)
+        _d1(p, grid.dx, out=k)
         forcing = k[1]
         forcing *= self.u
         forcing += k[2]
         np.negative(forcing, out=forcing)
         if dissipative:
             # Second difference of u into the spent rows: k[2] and the flux.
-            d2 = k[2]
-            np.add(p[1, ..., 1 : n + 1], p[1, ..., 3 : n + 3], out=d2)
-            d2 -= np.multiply(self.u, 2.0, out=flux)
-            d2 /= grid.dx * grid.dx
+            d2 = _d2(p[1], grid.dx, out=k[2], scratch=flux)
             d2 *= epsilon
             forcing += d2
         if delta != 0.0:
@@ -381,6 +392,26 @@ class RunConfig:
             raise ConfigError(
                 f"dt = {self.dt} violates the advective bound {bound:.6g}"
             )
+        _check_work(self, self.epsilon, 1)
+
+
+def _check_work(config: RunConfig, epsilon: float, rows: int) -> None:
+    """Refuse damping beyond RK4's real stability interval, the largest rate
+    of epsilon (I - delta D2)^-1 D2 being 4 epsilon / (dx**2 + 4 delta) at
+    any delta >= 0, and runs of more than MAX_CELL_STEPS."""
+    damping = config.dt * 4.0 * epsilon / (config.grid.dx**2 + 4.0 * config.delta)
+    if damping > _RK4_REAL_LIMIT:
+        raise ConfigError(
+            f"dt = {config.dt} violates the RK4 damping bound at epsilon = {epsilon}: "
+            f"dt * 4 epsilon / (dx**2 + 4 delta) = {damping:.6g} > {_RK4_REAL_LIMIT}"
+        )
+    # round(x, 0) stays a float, so a vanishing dt gives inf, not OverflowError.
+    cell_steps = round(config.t_end / config.dt, 0) * config.grid.n * rows
+    if cell_steps > MAX_CELL_STEPS:
+        raise ConfigError(
+            f"the run takes {cell_steps:.3g} cell-steps (steps x cells x rows), "
+            f"over the cell-step budget {MAX_CELL_STEPS:.3g}"
+        )
 
 
 def _advective_bound(max_abs_u: float, max_eta: float, dx: float) -> float:
@@ -437,12 +468,7 @@ def _rusanov_step(state: FieldPair, config: RunConfig) -> FieldPair:
     q = np.empty((2, n + 2))
     q[0, 1:-1] = eta
     q[1, 1:-1] = u
-    if grid.boundary is BoundaryKind.PERIODIC:
-        q[:, 0] = q[:, n]
-        q[:, -1] = q[:, 1]
-    else:
-        q[0, 0], q[1, 0] = q[0, 1], -q[1, 1]
-        q[0, -1], q[1, -1] = q[0, n], -q[1, n]
+    _fill_ghosts(q, grid, np.array([[1.0], [-1.0]]))
     qe, qu = q
     # Per cell: the fluxes (u + eta u, eta + u^2 / 2) and the wave speed.
     f = np.empty_like(q)
@@ -603,6 +629,7 @@ def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudy
         raise ConfigError("error study needs snapshot_times in the base config")
     if base_config.system is not SystemKind.PEREGRINE_DISSIPATIVE:
         raise ConfigError("error study needs the peregrine-dissipative system")
+    _check_work(base_config, max(epsilons), 1 + len(epsilons))
 
     init = make_initial(base_config.ic, base_config.grid)
     runs = 1 + len(epsilons)

@@ -591,48 +591,6 @@ def lyapunov_backstep(profile: Profile) -> float:
     return max(0.0, -worst)
 
 
-def polyline_self_intersections(x: np.ndarray, y: np.ndarray, max_points: int = 1500) -> int:
-    """Count transversal self-intersections of a sampled planar curve.
-
-    Decimates to at most max_points vertices, then checks every
-    non-adjacent segment pair with a vectorized orientation test.  Used to
-    confirm computed orbits are simple curves.
-    """
-    n = len(x)
-    if n > max_points:
-        idx = np.linspace(0, n - 1, max_points).astype(int)
-        x, y = x[idx], y[idx]
-        n = max_points
-    p = np.column_stack([x, y])
-    a = p[:-1]
-    b = p[1:]
-    m = len(a)
-
-    def cross(o, d, q):
-        return (d[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) - (
-            d[..., 1] - o[..., 1]
-        ) * (q[..., 0] - o[..., 0])
-
-    count = 0
-    chunk = 256
-    for i0 in range(0, m, chunk):
-        i1 = min(i0 + chunk, m)
-        ai = a[i0:i1, None, :]
-        bi = b[i0:i1, None, :]
-        aj = a[None, :, :]
-        bj = b[None, :, :]
-        d1 = cross(ai, bi, aj)
-        d2 = cross(ai, bi, bj)
-        d3 = cross(aj, bj, ai)
-        d4 = cross(aj, bj, bi)
-        hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-        jj = np.arange(m)[None, :]
-        ii = np.arange(i0, i1)[:, None]
-        hit &= jj > ii + 1  # skip self and adjacent pairs, count each pair once
-        count += int(np.count_nonzero(hit))
-    return count
-
-
 def write_profile_csv(profile: Profile, path) -> None:
     """Write samples as CSV with header xi,u,v,eta at full double precision."""
     write_csv(path, "xi,u,v,eta", [profile.xi, profile.u, profile.v, profile.eta])
@@ -649,14 +607,9 @@ def load_profile_csv(path) -> dict:
     return {name: np.atleast_1d(data[name]) for name in expected}
 
 
-def shape_report_dict(report: ShapeReport) -> dict:
-    """JSON-ready dictionary form of a ShapeReport."""
-    return asdict(report)
-
-
 def write_shape_report_json(report: ShapeReport, path, solver: Optional[SolverRecord] = None) -> None:
     """Write the report as JSON, with a "solver" block when solver is given."""
-    data = shape_report_dict(report)
+    data = asdict(report)
     if solver is not None:
         data["solver"] = asdict(solver)
     write_json(path, data)

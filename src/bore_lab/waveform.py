@@ -80,7 +80,6 @@ class Equilibria:
     u_inflect = c - c**(1/3) marks where the potential changes convexity.
     """
 
-    u_zero: float
     u_minus: float
     u_plus: float
     u_tail: float
@@ -162,7 +161,6 @@ def equilibria(params: WaveParams) -> Equilibria:
     u_plus = 0.5 * (3.0 * c + disc)
     eta_tail = u_minus / (c - u_minus)
     return Equilibria(
-        u_zero=0.0,
         u_minus=u_minus,
         u_plus=u_plus,
         u_tail=u_minus,
@@ -426,20 +424,14 @@ def froude_from_tail(eta_tail: float) -> float:
     return (1.0 + eta_tail) * math.sqrt(2.0 / (2.0 + eta_tail))
 
 
-def empirical_bore_speed(eta_tail: float) -> float:
-    """Classical open-channel bore-speed approximation.
-
-    c = sqrt(1 + (3/2) eta + (1/2) eta**2), the hydraulic-jump relation for
-    the physical depth-momentum pair.  It deviates from froude_from_tail at
-    second order in eta; shipped for comparison tables only.
-    """
-    if not (eta_tail >= 0.0):
-        raise ValueError(f"tail elevation must be >= 0, got {eta_tail}")
-    return math.sqrt(1.0 + 1.5 * eta_tail + 0.5 * eta_tail * eta_tail)
-
-
 def empirical_bore_amplitude(c: float) -> float:
-    """Inverse of empirical_bore_speed: eta = (sqrt(1 + 8 c**2) - 3) / 2."""
+    """Classical open-channel bore elevation, eta = (sqrt(1 + 8 c**2) - 3) / 2.
+
+    The root of c = sqrt(1 + (3/2) eta + (1/2) eta**2), the hydraulic-jump
+    relation for the physical depth-momentum pair.  It deviates from the
+    inverse of froude_from_tail at second order in eta; for comparison
+    tables only.
+    """
     if not (c >= 1.0):
         raise ValueError(f"empirical bore amplitude needs c >= 1, got {c}")
     return 0.5 * (math.sqrt(1.0 + 8.0 * c * c) - 3.0)

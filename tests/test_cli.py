@@ -278,6 +278,17 @@ def test_evolve_cfl_check(tmp_path, capsys):
     assert "advective bound" in capsys.readouterr().err
 
 
+def test_evolve_damping_bound(tmp_path, capsys):
+    # At dt = 0.05 RK4's damping limit lies between epsilon = 50 and 60;
+    # before the config-time check epsilon = 60 ran and exited 3 at t = 2.1.
+    text = SMALL_RUN.replace("dt = 0.025", "dt = 0.05")
+    conf = write_small_config(tmp_path, text.replace("epsilon = 0.1", "epsilon = 50"))
+    assert main(["evolve", "--config", conf, "--out-dir", str(tmp_path / "a")]) == 0
+    conf = write_small_config(tmp_path, text.replace("epsilon = 0.1", "epsilon = 60"))
+    assert main(["evolve", "--config", conf, "--out-dir", str(tmp_path / "b")]) == 2
+    assert "RK4 damping bound" in capsys.readouterr().err
+
+
 def test_evolve_cfl_breach_mid_run_exits_3(tmp_path, capsys):
     # dt passes the initial screen; the crests behind the front break the
     # bound near t = 1.7 (see test_pde's check at every step).
@@ -378,6 +389,8 @@ PROFILE_FIG2 = ["profile", "--preset", "fig2", "--out-dir", "{out}"]
                      id="evolve-delta-nan"),
         pytest.param(EVOLVE, with_value(SMALL_RUN, "eta_left", "nan"), "eta_left",
                      id="evolve-eta_left-nan"),
+        pytest.param(EVOLVE, with_value(SMALL_RUN, "dt", "1e-9"), "cell-step budget",
+                     id="evolve-dt-1e-9"),
         pytest.param(["error-study", "--config", "{config}", "--epsilons", "nan,0.1",
                       "--out-dir", "{out}"], STUDY_RUN, "epsilons",
                      id="error-study-epsilon-nan"),

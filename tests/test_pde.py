@@ -13,6 +13,7 @@ from bore_lab.pde import (
     _checked,
     FieldPair,
     Gaussian,
+    MAX_CELL_STEPS,
     MAX_GRID_CELLS,
     Grid,
     RunConfig,
@@ -317,6 +318,54 @@ def test_stage_rate_equals_composed_operators(boundary, batch, delta):
     assert np.array_equal(u_t, expected[1])
 
 
+def dense_operator(stencil, grid, parity):
+    """Dense matrix of a stencil {offset: weight}: indices wrap on periodic
+    grids; at reflective walls index -1 - j reads cell j, and n + j reads
+    cell n - 1 - j, times parity."""
+    n = grid.n
+    m = np.zeros((n, n))
+    for i in range(n):
+        for offset, weight in stencil.items():
+            j = i + offset
+            if grid.boundary == "periodic":
+                m[i, j % n] += weight
+            elif j < 0:
+                m[i, -1 - j] += parity * weight
+            elif j >= n:
+                m[i, 2 * n - 1 - j] += parity * weight
+            else:
+                m[i, j] += weight
+    return m
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflective"])
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("delta", [0.5, 0.0])
+def test_stage_rate_matches_dense_matrices(boundary, batch, delta):
+    # An oracle that shares no code with the stage: eta_t = -D1 ((1 + eta) u)
+    # and (I - delta D2) u_t = -(u D1 u + D1 eta) + epsilon D2 u, with u odd
+    # and eta even about reflective walls.
+    g = Grid(-8.0, 8.0, 64, boundary)
+    h = g.dx
+    d1 = {-2: 1 / (12 * h), -1: -8 / (12 * h), 1: 8 / (12 * h), 2: -1 / (12 * h)}
+    d2 = {-1: 1 / h**2, 0: -2 / h**2, 1: 1 / h**2}
+    d1_odd, d1_even = dense_operator(d1, g, -1), dense_operator(d1, g, 1)
+    d2_odd = dense_operator(d2, g, -1)
+    rng = np.random.default_rng(11)
+    shape = (3, g.n) if batch else (g.n,)
+    eta, u = rng.uniform(-0.5, 0.5, shape), rng.uniform(-0.5, 0.5, shape)
+    epsilon = np.array([[0.0], [0.1], [0.7]]) if batch else 0.3
+    eta_t, u_t = semidiscrete_rhs_peregrine(eta, u, delta, epsilon, g)
+    columns = np.broadcast_to(epsilon, shape[:-1] + (1,))
+    for row in np.ndindex(shape[:-1]):
+        e, v, eps = eta[row], u[row], float(columns[row][0])
+        want_eta = -d1_odd @ ((1.0 + e) * v)
+        forcing = -(v * (d1_odd @ v) + d1_even @ e) + eps * (d2_odd @ v)
+        want_u = np.linalg.solve(np.eye(g.n) - delta * d2_odd, forcing)
+        for got, want in ((eta_t[row], want_eta), (u_t[row], want_u)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "reflective"])
 def test_rk4_step_equals_rk4_of_the_rate(boundary):
     g = Grid(-50.0, 50.0, 400, boundary)
@@ -383,6 +432,24 @@ def test_config_accepts_string_system():
 def test_config_validation(overrides):
     with pytest.raises(ConfigError):
         small_config(**overrides)
+
+
+def test_damping_bound_without_dispersion():
+    # dt * 4 epsilon / (dx**2 + 4 delta) <= 2.785 (test_cli covers delta = 1):
+    # with delta = 0, dx = 0.25 and dt = 0.025 the limit lies between
+    # epsilon = 1.7 and 1.8.
+    small_config(delta=0.0, epsilon=1.7)
+    with pytest.raises(ConfigError, match="RK4 damping bound"):
+        small_config(delta=0.0, epsilon=1.8)
+
+
+def test_cell_step_budget():
+    # 800 cells: dt = 8e-7 over t_end = 2 is 2.5e6 steps, the budget exactly.
+    assert 800 * 2_500_000 == MAX_CELL_STEPS
+    small_config(dt=8e-7)
+    for dt in (7.9e-7, 1e-9, 5e-324):
+        with pytest.raises(ConfigError, match="cell-step budget"):
+            small_config(dt=dt)
 
 
 def test_cfl_bound_formula():
@@ -624,6 +691,12 @@ def test_error_study_validation():
                             t_end=2.0, snapshot_times=(1.0, 2.0))
     with pytest.raises(ConfigError, match="peregrine-dissipative"):
         error_study(inviscid, [0.1])
+    # The checks of RunConfig, at the largest epsilon and for every row.
+    with pytest.raises(ConfigError, match="RK4 damping bound"):
+        error_study(small_config(dt=0.05, snapshot_times=(1.0, 2.0)), [0.1, 60.0])
+    fits_one_row = small_config(dt=2e-6, snapshot_times=(1.0, 2.0))
+    with pytest.raises(ConfigError, match="cell-step budget"):
+        error_study(fits_one_row, [0.1, 0.05])
 
 
 def test_error_study_without_fit_window_raises():

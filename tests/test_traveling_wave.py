@@ -7,6 +7,7 @@ oscillatory one (c = 2, delta = 0.5, epsilon = 0.3, well below it).
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -24,11 +25,9 @@ from bore_lab import (
     load_profile_csv,
     lyapunov_backstep,
     manifold_seed,
-    polyline_self_intersections,
     potential,
     saddle_eigenvalues,
     shape_report,
-    shape_report_dict,
     solitary_amplitude,
     surface_elevation,
     tail_eigenvalues,
@@ -353,6 +352,48 @@ def test_derivative_bounds(mono_profile, osc_profile):
         assert res.worst >= -res.slack
 
 
+def polyline_self_intersections(x: np.ndarray, y: np.ndarray, max_points: int = 1500) -> int:
+    """Count transversal self-intersections of a sampled planar curve.
+
+    Decimates to at most max_points vertices, then checks every
+    non-adjacent segment pair with a vectorized orientation test.  Confirms
+    computed orbits are simple curves.
+    """
+    n = len(x)
+    if n > max_points:
+        idx = np.linspace(0, n - 1, max_points).astype(int)
+        x, y = x[idx], y[idx]
+        n = max_points
+    p = np.column_stack([x, y])
+    a = p[:-1]
+    b = p[1:]
+    m = len(a)
+
+    def cross(o, d, q):
+        return (d[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) - (
+            d[..., 1] - o[..., 1]
+        ) * (q[..., 0] - o[..., 0])
+
+    count = 0
+    chunk = 256
+    for i0 in range(0, m, chunk):
+        i1 = min(i0 + chunk, m)
+        ai = a[i0:i1, None, :]
+        bi = b[i0:i1, None, :]
+        aj = a[None, :, :]
+        bj = b[None, :, :]
+        d1 = cross(ai, bi, aj)
+        d2 = cross(ai, bi, bj)
+        d3 = cross(aj, bj, ai)
+        d4 = cross(aj, bj, bi)
+        hit = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+        jj = np.arange(m)[None, :]
+        ii = np.arange(i0, i1)[:, None]
+        hit &= jj > ii + 1  # skip self and adjacent pairs, count each pair once
+        count += int(np.count_nonzero(hit))
+    return count
+
+
 def test_no_phase_plane_self_crossings(mono_profile, osc_profile):
     for profile in (mono_profile, osc_profile):
         assert polyline_self_intersections(profile.u, profile.v) == 0
@@ -529,5 +570,4 @@ def test_shape_report_json(tmp_path, osc_shape):
     assert loaded["regime_observed"] == "oscillatory"
     assert len(loaded["maxima"]) == len(osc_shape.maxima)
     assert loaded["tail_frequency"] == pytest.approx(osc_shape.tail_frequency)
-    d = shape_report_dict(osc_shape)
-    assert set(d) == set(loaded)
+    assert set(asdict(osc_shape)) == set(loaded)

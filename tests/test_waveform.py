@@ -18,7 +18,6 @@ from bore_lab import (
     critical_epsilon,
     dissipated_energy,
     empirical_bore_amplitude,
-    empirical_bore_speed,
     equilibria,
     froude_from_tail,
     lyapunov_value,
@@ -359,15 +358,19 @@ def test_froude_from_tail_exact_points():
     assert froude_from_tail(eq.eta_tail) == pytest.approx(2.0, rel=1e-13)
 
 
-def test_empirical_bore_speed_agrees_at_small_jumps():
-    # The open-channel approximation deviates only at second order.
+def test_empirical_bore_amplitude_solves_the_open_channel_relation():
+    for c in (1.0, 1.01, 1.3, 2.0, 5.0, 9.5):
+        eta = empirical_bore_amplitude(c)
+        assert abs(math.sqrt(1.0 + 1.5 * eta + 0.5 * eta * eta) - c) < 1e-12 * c
+
+
+def test_empirical_bore_amplitude_agrees_at_small_jumps():
+    # The open-channel approximation deviates from the exact inverse of
+    # froude_from_tail only at second order in eta.
     for eta in (0.01, 0.05):
-        assert empirical_bore_speed(eta) == pytest.approx(
-            froude_from_tail(eta), abs=0.3 * eta * eta
+        assert empirical_bore_amplitude(froude_from_tail(eta)) == pytest.approx(
+            eta, abs=0.3 * eta * eta
         )
-    assert empirical_bore_amplitude(empirical_bore_speed(0.3)) == pytest.approx(
-        0.3, rel=1e-12
-    )
 
 
 def test_surface_elevation_singular_input():
