@@ -77,7 +77,6 @@ from .pde import (
     sample_profile_on_grid,
     second_difference,
     semidiscrete_rhs_peregrine,
-    shallow_water_shock_reference,
     shape_misfit,
     step,
     write_error_series_csv,

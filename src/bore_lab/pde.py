@@ -673,22 +673,6 @@ def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudy
 
 
 # ---------------------------------------------------------------------------
-# classical shock reference
-
-def shallow_water_shock_reference(c: float) -> Tuple[float, float, float]:
-    """Jump state (eta, u) and speed of the classical shock moving at c.
-
-    The downstream state is rest; the upstream state is the same pair the
-    traveling-wave tails approach, so the dispersive-dissipative front and
-    the classical shock carry identical far fields.
-    """
-    if not c >= 1.0:
-        raise ValueError(f"shock reference needs c >= 1, got {c}")
-    u0 = 0.5 * (3.0 * c - math.sqrt(c * c + 8.0))
-    return u0 / (c - u0), u0, c
-
-
-# ---------------------------------------------------------------------------
 # profile injection and front tracking
 
 def sample_profile_on_grid(

@@ -58,6 +58,7 @@ from .waveform import (
     dissipated_energy,
     equilibria,
     lyapunov_value,
+    restoring_coefficient,
     saddle_eigenvalues,
     solitary_amplitude,
     surface_elevation,
@@ -110,9 +111,7 @@ class SolverRecord:
     """What the profile sweep did; written as the solver block of shape.json.
 
     steps, rhs_evals and jac_evals are those of the sweep, rhs_evals with
-    the field evaluation that sizes its first step.  stop names the
-    rule that ended it: "tail_tol" (monotone) or "shrinking_peaks"
-    (oscillatory).
+    the field evaluation that sizes its first step.
     """
 
     method: str
@@ -122,7 +121,6 @@ class SolverRecord:
     samples: int
     xi_span: Tuple[float, float]
     seed_offset: float
-    stop: str
 
 
 @dataclass
@@ -252,18 +250,22 @@ def _first_step(f0, y0, t_end: float, opts: ProfileOptions) -> float:
 def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, opts: ProfileOptions):
     """LSODA on the reversed field in tau = -xi from seed, sampled at tau = k * spacing.
 
-    Returns (taus, us, vs, stop, counts): the samples as float lists in
-    tau order, seed first, the name of the stopping rule that ended the
-    sweep, and (steps, rhs_evals, jac_evals).  Each sample is one call of
-    LSODA's itask 1: the solver steps past tau and returns its own
-    interpolant there.  The first step is the one LSODA would take aimed
-    at tout = max_span, so the grid does not steer the solver, and the
-    per-call step cap is lifted, since one call may take many steps.  The
-    counts are ODEPACK's step, field and Jacobian counters (IWORK 11-13),
-    the field count plus the one evaluation that sizes the first step.
+    Returns (taus, us, vs, counts): the samples as float lists in tau
+    order, seed first, and (steps, rhs_evals, jac_evals).  Each sample is
+    one call of LSODA's itask 1: the solver steps past tau and returns its
+    own interpolant there.  The first step is the one LSODA would take
+    aimed at tout = max_span, so the grid does not steer the solver, and
+    the per-call step cap is lifted, since one call may take many steps.
+    The counts are ODEPACK's step, field and Jacobian counters (IWORK
+    11-13), the field count plus the one evaluation that sizes the first
+    step.  The sweep stops at the first sample with
+    (u - u_tail)**2 + v**2 / (delta c R) < tail_tol**2, R the restoring
+    coefficient: that is 2E / (delta c R), E = v**2/2 + delta c R
+    (u - u_tail)**2/2 the Lyapunov function linearized upstream, and
+    dE/dxi = epsilon v**2 / (delta c) >= 0 at a spiral and a node alike.
 
     A negative return code, a non-finite sample, a sample next to the
-    singular line u = c, or reaching max_span without a stop raises
+    singular line u = c, or reaching max_span before the stop raises
     IntegrationError.  The callbacks run on floats: LSODA calls them with
     2-vectors, where numpy's per-call cost would exceed the arithmetic.
     """
@@ -289,10 +291,9 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, opts: ProfileOp
     solver.set_initial_value(y0, 0.0)
 
     u0 = equilibria(params).u_tail
-    oscillatory = classify_regime(params).kind is RegimeKind.OSCILLATORY
+    dcr = params.delta * params.c * restoring_coefficient(params.c)
+    tol2 = opts.tail_tol * opts.tail_tol
     taus, us, vs = [0.0], [seed.u], [seed.v]
-    dev_peaks: List[float] = []
-    stop = None
     with warnings.catch_warnings():
         # A negative return code raises IntegrationError below; scipy's
         # UserWarning for it would only repeat that.
@@ -314,29 +315,15 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, opts: ProfileOp
             taus.append(tau)
             us.append(u)
             vs.append(v)
-            dev = abs(u - u0)
-            if not oscillatory:
-                if dev + abs(v) < opts.tail_tol:
-                    stop = "tail_tol"
-                    break
-            elif len(us) >= 3:
-                d2 = abs(us[-2] - u0)
-                if d2 >= dev and d2 > abs(us[-3] - u0):
-                    dev_peaks.append(d2)
-                    if (
-                        len(dev_peaks) >= 3
-                        and dev_peaks[-1] < opts.tail_tol
-                        and dev_peaks[-3] > dev_peaks[-2] > dev_peaks[-1]
-                    ):
-                        stop = "shrinking_peaks"
-                        break
-    if stop is None:
-        raise IntegrationError(
-            f"upstream state not reached within max_span = {opts.max_span}; "
-            f"|u - u_tail| = {abs(us[-1] - u0):.3e} at xi = {-taus[-1]:.1f}"
-        )
+            if (u - u0) ** 2 + v * v / dcr < tol2:
+                break
+        else:
+            raise IntegrationError(
+                f"upstream state not reached within max_span = {opts.max_span}; "
+                f"|u - u_tail| = {abs(us[-1] - u0):.3e} at xi = {-taus[-1]:.1f}"
+            )
     steps, rhs_evals, jac_evals = solver._integrator.iwork[10:13].tolist()
-    return taus, us, vs, stop, (steps, rhs_evals + 1, jac_evals)
+    return taus, us, vs, (steps, rhs_evals + 1, jac_evals)
 
 
 def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = None) -> Profile:
@@ -344,8 +331,9 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
 
     Raises ValueError for epsilon = 0 (the dissipationless system has no
     bore-type traveling wave: the orbit through the seed is homoclinic and
-    never settles on the upstream state) and IntegrationError when the
-    sweep exhausts max_span, the solver breaks down, the orbit turns
+    never settles on the upstream state) or a tail_tol below the roundoff
+    floor 1e-13 max(1, u_tail), and IntegrationError when the sweep
+    exhausts max_span, the solver breaks down, the orbit turns
     non-finite, or it strays next to the singular line u = c.
     """
     if params.epsilon <= 0.0:
@@ -355,10 +343,14 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
         )
     opts = options or ProfileOptions()
     u0 = equilibria(params).u_tail
+    floor = 1e-13 * max(1.0, u0)
+    if opts.tail_tol < floor:
+        raise ValueError(f"tail_tol must be at least {floor:.3g}: roundoff keeps the sweep "
+                         f"from stopping below it; got {opts.tail_tol}")
     offset = opts.seed_offset if opts.seed_offset is not None else 1e-8 * u0
     seed = manifold_seed(params, offset)
     spacing = _STEP_FRACTION / _slow_rate(params)
-    taus, us, vs, stop, (steps, rhs_evals, jac_evals) = _sweep(params, seed, spacing, opts)
+    taus, us, vs, (steps, rhs_evals, jac_evals) = _sweep(params, seed, spacing, opts)
 
     xi = -np.array(taus[::-1])
     u_arr = np.array(us[::-1])
@@ -380,7 +372,6 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
         samples=int(xi.size),
         xi_span=(float(xi[0]), float(xi[-1])),
         seed_offset=offset,
-        stop=stop,
     )
     return Profile(
         params=params,

@@ -78,6 +78,13 @@ def test_classify_preset_with_override(capsys):
     assert damped["kind"] == "regularized"
 
 
+def test_classify_large_speed(capsys):
+    # At c = 5 the converged crest leaves |g| ~ 4e-11: g's terms are O(c**3).
+    assert main(["classify", "--c", "5", "--delta", "0.5", "--epsilon", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["u_tail"] < report["u_solitary"] < 5.0
+
+
 def test_classify_is_deterministic(capsys):
     main(["classify", "--preset", "fig2"])
     first = capsys.readouterr().out
@@ -163,6 +170,14 @@ def test_profile_rejects_zero_tolerance(flag, tmp_path, capsys):
     assert "tolerances must be positive" in capsys.readouterr().err
 
 
+def test_profile_rejects_tail_tol_below_the_floor(tmp_path, capsys):
+    # Below the roundoff floor the stopping test could never fire.
+    rc = main(["profile", "--preset", "fig2", "--tail-tol", "1e-30", "--max-span", "1e7",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "tail_tol must be at least 1e-13" in capsys.readouterr().err
+
+
 def test_profile_exhausted_span_exits_3(tmp_path, capsys):
     rc = main(["profile", "--preset", "fig2", "--max-span", "5",
                "--out-dir", str(tmp_path)])
@@ -173,11 +188,10 @@ def test_profile_exhausted_span_exits_3(tmp_path, capsys):
 def test_profile_records_solver_block(profile_dir):
     solver = json.loads((profile_dir / "shape.json").read_text())["solver"]
     assert set(solver) == {"method", "steps", "rhs_evals", "jac_evals", "samples",
-                           "xi_span", "seed_offset", "stop"}
+                           "xi_span", "seed_offset"}
     rows = (profile_dir / "profile.csv").read_text().splitlines()[1:]
     assert solver["samples"] == len(rows)
     assert solver["method"] == "LSODA"
-    assert solver["stop"] == "tail_tol"
     assert solver["xi_span"] == [float(rows[0].split(",")[0]),
                                  float(rows[-1].split(",")[0])]
 

@@ -334,6 +334,24 @@ def test_solitary_amplitude_rejects_subcritical():
         solitary_amplitude(1.0)
 
 
+def test_solitary_amplitude_converges_across_envelope():
+    # g's terms are O(c**3): the converged root is a sign change of g,
+    # not a zero to any absolute tolerance.
+    for c in np.linspace(1.2, 8.9, 40):
+        c = float(c)
+        params = WaveParams(c, 1.0, 0.0)
+        u_bar = solitary_amplitude(c)
+        assert equilibria(params).u_tail < u_bar < c
+        ulps = 32.0 * np.spacing(u_bar)
+        assert potential(u_bar - ulps, params) < 0.0 < potential(u_bar + ulps, params)
+
+
+@pytest.mark.parametrize("c", [8.95, 10.0])
+def test_solitary_crest_closer_to_c_than_the_bracket_raises(c):
+    with pytest.raises(RootFindError, match="singular line"):
+        solitary_amplitude(c)
+
+
 def test_tail_below_solitary_crest():
     for c in np.linspace(1.01, 1.4, 40):
         eq = equilibria(WaveParams(float(c), 1.0, 0.0))
