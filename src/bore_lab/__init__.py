@@ -5,7 +5,7 @@ Modules by task:
     radau           a Radau IIA integrator; profiles now use scipy's LSODA
     traveling_wave  profile computation, shape reports, invariant checks
     pde             method-of-lines evolution, error studies, front tracking
-    csvio           the one CSV and the one JSON writer behind every exported file
+    csvio           the one CSV reader, CSV writer and JSON writer
     config          config-file parsing and named presets
     cli             command-line entry points
 """

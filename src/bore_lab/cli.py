@@ -33,7 +33,7 @@ from .config import (
     preset_pairs,
     write_config,
 )
-from .csvio import write_csv, write_json
+from .csvio import read_csv, write_csv, write_json
 from .errors import ConfigError, NumericsError
 from .pde import (
     RunConfig,
@@ -240,48 +240,6 @@ def cmd_error_study(args) -> int:
     return 0
 
 
-def _load_gauge_csv(path) -> tuple:
-    times = []
-    values = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and any(not _is_number(p) for p in parts):
-                continue  # header row
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected 2 columns, got {len(parts)}"
-                )
-            try:
-                t, e = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: line {lineno}: non-numeric value"
-                ) from None
-            times.append(t)
-            values.append(e)
-    if len(times) < 10:
-        raise ConfigError(f"{path}: gauge data needs at least 10 rows")
-    t = np.array(times)
-    e = np.array(values)
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(e))):
-        raise ConfigError(f"{path}: non-finite gauge values")
-    if np.any(np.diff(t) <= 0.0):
-        raise ConfigError(f"{path}: gauge times must be strictly increasing")
-    return t, e
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def _align_series(t_model, e_model, t_data, e_data):
     """Shift making model time comparable to data time, by correlating the
     front slopes on a common uniform sampling."""
@@ -309,7 +267,7 @@ def cmd_overlay(args) -> int:
     # is the profile read right to left.
     t_model = -data["xi"][::-1] / args.c
     e_model = data["eta"][::-1]
-    t_data, e_data = _load_gauge_csv(args.data)
+    t_data, e_data = read_csv(args.data, 2)
     shift = _align_series(t_model, e_model, t_data, e_data)
     t_shifted = t_model + shift
     mask = (t_data >= t_shifted[0]) & (t_data <= t_shifted[-1])

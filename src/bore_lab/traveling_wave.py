@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .csvio import write_csv, write_json
+from .csvio import read_csv, write_csv, write_json
 from .errors import IntegrationError, NumericsError
 from .waveform import (
     ComplexConjugate,
@@ -236,7 +236,7 @@ def _slow_rate(params: WaveParams) -> float:
 
 
 def _first_step(f0, y0, t_end: float, opts: ProfileOptions) -> float:
-    """LSODA's own first step for a sweep from t = 0 aimed at tout = t_end.
+    """Length of LSODA's own first step from t = 0 aimed at |tout| = t_end.
 
     ODEPACK's lsoda.f: h0**-2 = 1/(tol t_end**2) + tol max|f0 / ewt|**2,
     with tol = rtol clamped to [100 u, 1e-3] and ewt = rtol |y0| + atol,
@@ -248,13 +248,13 @@ def _first_step(f0, y0, t_end: float, opts: ProfileOptions) -> float:
 
 
 def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, opts: ProfileOptions):
-    """LSODA on the reversed field in tau = -xi from seed, sampled at tau = k * spacing.
+    """LSODA on the field from seed backward in xi, sampled at xi = -k * spacing.
 
-    Returns (taus, us, vs, counts): the samples as float lists in tau
+    Returns (xis, us, vs, counts): the samples as float lists in sweep
     order, seed first, and (steps, rhs_evals, jac_evals).  Each sample is
-    one call of LSODA's itask 1: the solver steps past tau and returns its
+    one call of LSODA's itask 1: the solver steps past xi and returns its
     own interpolant there.  The first step is the one LSODA would take
-    aimed at tout = max_span, so the grid does not steer the solver, and
+    aimed at tout = -max_span, so the grid does not steer the solver, and
     the per-call step cap is lifted, since one call may take many steps.
     The counts are ODEPACK's step, field and Jacobian counters (IWORK
     11-13), the field count plus the one evaluation that sizes the first
@@ -277,14 +277,14 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, opts: ProfileOp
     from scipy.integrate import ode
 
     def fun(t, y):
-        du, dv = vector_field(*y.tolist(), params)
-        return [-du, -dv]
+        # A list: scipy's f2py ode wrappers (1.13) reject a tuple.
+        return list(vector_field(*y.tolist(), params))
 
     def jac(t, y):
-        return -_jacobian(y.item(0), params)
+        return _jacobian(y.item(0), params)
 
     y0 = np.array([seed.u, seed.v])
-    h0 = _first_step(fun(0.0, y0), [seed.u, seed.v], opts.max_span, opts)
+    h0 = -_first_step(fun(0.0, y0), [seed.u, seed.v], opts.max_span, opts)
     solver = ode(fun, jac).set_integrator(
         "lsoda", rtol=opts.rtol, atol=opts.atol, first_step=h0, nsteps=2**31 - 1
     )
@@ -293,26 +293,26 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, opts: ProfileOp
     u0 = equilibria(params).u_tail
     dcr = params.delta * params.c * restoring_coefficient(params.c)
     tol2 = opts.tail_tol * opts.tail_tol
-    taus, us, vs = [0.0], [seed.u], [seed.v]
+    xis, us, vs = [0.0], [seed.u], [seed.v]
     with warnings.catch_warnings():
         # A negative return code raises IntegrationError below; scipy's
         # UserWarning for it would only repeat that.
         warnings.filterwarnings("ignore", "lsoda: ", UserWarning)
         for k in range(1, int(math.floor(opts.max_span / spacing)) + 1):
-            tau = k * spacing
-            u, v = solver.integrate(tau).tolist()
+            xi = -k * spacing
+            u, v = solver.integrate(xi).tolist()
             code = solver.get_return_code()
             if code < 0:
                 raise IntegrationError(
-                    f"LSODA failed at tau = {solver.t:.6g} with return code {code}"
+                    f"LSODA failed at xi = {solver.t:.6g} with return code {code}"
                 )
             if not (math.isfinite(u) and math.isfinite(v)):
-                raise IntegrationError(f"non-finite state at xi = {-tau}")
+                raise IntegrationError(f"non-finite state at xi = {xi}")
             if u > params.c - 1e-9 * params.c:
                 raise IntegrationError(
-                    f"orbit approached the singular line u = c at xi = {-tau}"
+                    f"orbit approached the singular line u = c at xi = {xi}"
                 )
-            taus.append(tau)
+            xis.append(xi)
             us.append(u)
             vs.append(v)
             if (u - u0) ** 2 + v * v / dcr < tol2:
@@ -320,10 +320,10 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, opts: ProfileOp
         else:
             raise IntegrationError(
                 f"upstream state not reached within max_span = {opts.max_span}; "
-                f"|u - u_tail| = {abs(us[-1] - u0):.3e} at xi = {-taus[-1]:.1f}"
+                f"|u - u_tail| = {abs(us[-1] - u0):.3e} at xi = {xis[-1]:.1f}"
             )
     steps, rhs_evals, jac_evals = solver._integrator.iwork[10:13].tolist()
-    return taus, us, vs, (steps, rhs_evals + 1, jac_evals)
+    return xis, us, vs, (steps, rhs_evals + 1, jac_evals)
 
 
 def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = None) -> Profile:
@@ -350,9 +350,9 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     offset = opts.seed_offset if opts.seed_offset is not None else 1e-8 * u0
     seed = manifold_seed(params, offset)
     spacing = _STEP_FRACTION / _slow_rate(params)
-    taus, us, vs, (steps, rhs_evals, jac_evals) = _sweep(params, seed, spacing, opts)
+    xis, us, vs, (steps, rhs_evals, jac_evals) = _sweep(params, seed, spacing, opts)
 
-    xi = -np.array(taus[::-1])
+    xi = np.array(xis[::-1])
     u_arr = np.array(us[::-1])
     v_arr = np.array(vs[::-1])
 
@@ -588,14 +588,9 @@ def write_profile_csv(profile: Profile, path) -> None:
 
 
 def load_profile_csv(path) -> dict:
-    """Read a profile CSV back into column arrays; schema-checked."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    expected = ("xi", "u", "v", "eta")
-    if data.dtype.names != expected:
-        raise ValueError(
-            f"profile CSV must have columns {','.join(expected)}, got {data.dtype.names}"
-        )
-    return {name: np.atleast_1d(data[name]) for name in expected}
+    """Read a profile CSV, header xi,u,v,eta, under csvio.read_csv's policy."""
+    names = ("xi", "u", "v", "eta")
+    return dict(zip(names, read_csv(path, names)))
 
 
 def write_shape_report_json(report: ShapeReport, path, solver: Optional[SolverRecord] = None) -> None:

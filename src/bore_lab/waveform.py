@@ -342,16 +342,17 @@ def solitary_amplitude(c: float) -> float:
     u_bar is the unique zero of the potential in (u_tail, c): the level at
     which an orbit launched from rest returns to rest.  Solved by Newton
     iteration safeguarded by bisection on the bracket
-    (u_tail (1 + 1e-12), c (1 - 1e-12)), accepted once a step moves u by
-    at most 4 eps u: g's terms are O(c**3), so no absolute bound on g holds
-    across c.  From c ~ 8.94 on the root lies closer to c than the bracket
-    and RootFindError says so.  Independent of delta and epsilon.
+    (u_tail (1 + 1e-12), the largest double below c), accepted once a step
+    moves u by at most 4 eps u: g's terms are O(c**3), so no absolute bound
+    on g holds across c.  From c ~ 10.2533 on the root lies within one ulp
+    of c, so no double brackets it, and RootFindError says so.  Independent
+    of delta and epsilon.
     """
     if not (c > 1.0):
         raise ValueError(f"solitary amplitude needs c > 1, got {c}")
     u_tail = 0.5 * (3.0 * c - math.sqrt(c * c + 8.0))
     lo = u_tail * (1.0 + REL_TOL)
-    hi = c * (1.0 - REL_TOL)
+    hi = math.nextafter(c, 0.0)
 
     def g(u):
         return float(_reduced_potential(u, c))
@@ -361,8 +362,8 @@ def solitary_amplitude(c: float) -> float:
 
     if not g(lo) < 0.0 < g(hi):
         raise RootFindError(
-            f"solitary amplitude at c = {c} not bracketed in ({lo}, {hi}): from c ~ 8.94 "
-            f"on the crest lies within {REL_TOL:g} c of the singular line u = c"
+            f"solitary amplitude at c = {c} not bracketed in ({lo}, {hi}): from c ~ 10.2533 "
+            "on the crest lies within one ulp of the singular line u = c"
         )
     x = 0.5 * (lo + hi)
     for _ in range(_SOLITARY_MAX_ITER):

@@ -79,10 +79,12 @@ def test_classify_preset_with_override(capsys):
 
 
 def test_classify_large_speed(capsys):
-    # At c = 5 the converged crest leaves |g| ~ 4e-11: g's terms are O(c**3).
-    assert main(["classify", "--c", "5", "--delta", "0.5", "--epsilon", "1"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["u_tail"] < report["u_solitary"] < 5.0
+    # At c = 5 the converged crest leaves |g| ~ 4e-11: g's terms are O(c**3);
+    # at c = 9.5 it lies 169 ulps below c.
+    for c in (5.0, 9.5):
+        assert main(["classify", "--c", str(c), "--delta", "0.5", "--epsilon", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["u_tail"] < report["u_solitary"] < c
 
 
 def test_classify_is_deterministic(capsys):
@@ -510,6 +512,36 @@ def test_overlay_rejects_bad_gauge_data(profile_dir, tmp_path, capsys, content):
                  "--data", str(bad), "--c", "1.3",
                  "--out", str(tmp_path / "r.json")]) == 2
     capsys.readouterr()
+
+
+# Each edit of the fig2 profile.csv (header first, then data rows) and
+# what the refusal must name: the line at fault, or the row count.
+BAD_PROFILES = {
+    "eta-cell-oops": (
+        lambda lines: lines[:100] + [lines[100].rsplit(",", 1)[0] + ",oops"] + lines[101:],
+        "line 101",
+    ),
+    "header-only": (lambda lines: lines[:1], "got 0"),
+    "one-data-row": (lambda lines: lines[:2], "got 1"),
+    "rows-reversed": (lambda lines: lines[:1] + lines[:0:-1], "line 3"),
+    "no-header": (lambda lines: lines[1:], "line 1"),
+}
+
+
+@pytest.mark.parametrize("edit, needle", BAD_PROFILES.values(), ids=BAD_PROFILES.keys())
+def test_overlay_rejects_bad_profile_csv(profile_dir, tmp_path, capsys, edit, needle):
+    t, eta = station_trace(profile_dir, 1.3)
+    gauge = tmp_path / "gauge.csv"
+    write_gauge(gauge, t, eta)
+    lines = (profile_dir / "profile.csv").read_text().splitlines()
+    bad = tmp_path / "profile.csv"
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    report = tmp_path / "r.json"
+    assert main(["overlay", "--profile", str(bad), "--data", str(gauge), "--c", "1.3",
+                 "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and needle in err
+    assert not report.exists()
 
 
 def test_overlay_rejects_subcritical_speed(profile_dir, tmp_path, capsys):

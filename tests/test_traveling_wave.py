@@ -357,7 +357,9 @@ def test_derivative_bounds(mono_profile, osc_profile):
         assert res.worst >= -res.slack
 
 
-@pytest.mark.parametrize("params", [WaveParams(5.0, 0.5, 1.0), WaveParams(8.0, 0.5, 0.5)])
+@pytest.mark.parametrize(
+    "params", [WaveParams(5.0, 0.5, 1.0), WaveParams(8.0, 0.5, 0.5), WaveParams(9.5, 0.5, 1.0)]
+)
 def test_derivative_bounds_at_large_speed(params):
     assert check_derivative_bounds(integrate_profile(params)).passed
 

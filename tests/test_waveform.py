@@ -337,18 +337,22 @@ def test_solitary_amplitude_rejects_subcritical():
 def test_solitary_amplitude_converges_across_envelope():
     # g's terms are O(c**3): the converged root is a sign change of g,
     # not a zero to any absolute tolerance.
-    for c in np.linspace(1.2, 8.9, 40):
+    # Up to c = 10 the crest lies as close as 6 ulps below c, so the upper
+    # probe stops at the last double below c.
+    for c in np.linspace(1.2, 10.0, 40):
         c = float(c)
         params = WaveParams(c, 1.0, 0.0)
         u_bar = solitary_amplitude(c)
         assert equilibria(params).u_tail < u_bar < c
         ulps = 32.0 * np.spacing(u_bar)
-        assert potential(u_bar - ulps, params) < 0.0 < potential(u_bar + ulps, params)
+        above = min(u_bar + ulps, np.nextafter(c, 0.0))
+        assert potential(u_bar - ulps, params) < 0.0 < potential(above, params)
 
 
-@pytest.mark.parametrize("c", [8.95, 10.0])
+@pytest.mark.parametrize("c", [10.2534, 12.0])
 def test_solitary_crest_closer_to_c_than_the_bracket_raises(c):
-    with pytest.raises(RootFindError, match="singular line"):
+    # From c ~ 10.2533 on the crest lies within one ulp of c.
+    with pytest.raises(RootFindError, match="within one ulp of the singular line"):
         solitary_amplitude(c)
 
 
