@@ -299,8 +299,6 @@ class _Stage:
     def rate(self, k: np.ndarray, delta: float, epsilon, dissipative: bool) -> None:
         """Rates of the state in the buffer interior into k[0] (eta_t) and k[1] (u_t)."""
         grid, p = self.grid, self.pad
-        if np.min(self.eta) <= -1.0:
-            raise NumericsError("vacuum state: 1 + eta reached zero")
         flux = p[0, ..., 2:-2]
         np.subtract(-1.0, self.eta, out=flux)
         flux *= self.u
@@ -459,8 +457,6 @@ def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> FieldPair:
 def _rusanov_step(state: FieldPair, config: RunConfig) -> FieldPair:
     grid, dt = config.grid, config.dt
     eta, u = state.eta, state.u
-    if np.min(eta) <= -1.0:
-        raise NumericsError("vacuum state: 1 + eta reached zero")
     n = grid.n
     # q holds (eta, u) over cells 0..n-1 with one ghost cell at each end:
     # the wrapped cell on periodic grids, the mirror state (eta, -u) at
@@ -496,12 +492,14 @@ def _rusanov_step(state: FieldPair, config: RunConfig) -> FieldPair:
 
 
 def _checked(out: FieldPair, config: RunConfig) -> FieldPair:
-    """out, after checking it is finite and that dt still meets cfl_bound."""
+    """out, once checked finite, then 1 + eta > 0, then dt within cfl_bound."""
     u_hi, u_lo = np.max(out.u), np.min(out.u)
     eta_hi, eta_lo = np.max(out.eta), np.min(out.eta)
     # NaN reaches every extreme, +inf a max, -inf a min.
     if not all(map(math.isfinite, (u_hi, u_lo, eta_hi, eta_lo))):
         raise NumericsError(f"non-finite field values at t = {out.t:.6g}")
+    if eta_lo <= -1.0:
+        raise NumericsError(f"vacuum state: 1 + eta reached zero at t = {out.t:.6g}")
     bound = _advective_bound(max(u_hi, -u_lo), eta_hi, config.grid.dx)
     if bound < config.dt:
         raise NumericsError(
@@ -511,8 +509,7 @@ def _checked(out: FieldPair, config: RunConfig) -> FieldPair:
 
 
 def step(state: FieldPair, config: RunConfig) -> FieldPair:
-    """Advance one dt; raises NumericsError on blow-up, vacuum, or a step
-    that the advective bound of the new state no longer admits."""
+    """Advance one dt; NumericsError unless the new state passes _checked."""
     if config.system is SystemKind.SHALLOW_WATER:
         return _checked(_rusanov_step(state, config), config)
     return _checked(_rk4_step(state, config, config.epsilon), config)
@@ -538,7 +535,7 @@ def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[Field
 
 
 def _march(state: FieldPair, config: RunConfig, advance: Callable) -> List[FieldPair]:
-    """Apply advance up to t_end; copies of the state at the snapshot steps."""
+    """Check state, then apply advance up to t_end; copies at the snapshot steps."""
     n_total = int(round(config.t_end / config.dt))
     requested = config.snapshot_times or (config.t_end,)
     targets = [min(max(int(round(ts / config.dt)), 0), n_total) for ts in requested]
@@ -546,6 +543,7 @@ def _march(state: FieldPair, config: RunConfig, advance: Callable) -> List[Field
     for pos, k in enumerate(targets):
         wanted.setdefault(k, []).append(pos)
     snapshots: List[Optional[FieldPair]] = [None] * len(targets)
+    _checked(state, config)
     for pos in wanted.get(0, []):
         snapshots[pos] = state.copy()
     for k in range(1, n_total + 1):

@@ -52,9 +52,7 @@ from .errors import IntegrationError, NumericsError
 from .waveform import (
     ComplexConjugate,
     RealPair,
-    RegimeKind,
     WaveParams,
-    classify_regime,
     dissipated_energy,
     equilibria,
     lyapunov_value,
@@ -527,11 +525,9 @@ def check_triangle_confinement(profile: Profile) -> BoundsCheck:
     ValueError.  The slack absorbs integration error (10x tolerance).
     """
     params = profile.params
-    regime = classify_regime(params)
-    if regime.kind is not RegimeKind.REGULARIZED:
-        raise ValueError("triangle confinement applies to regularized profiles only")
     spec = tail_eigenvalues(params)
-    assert isinstance(spec.tail, RealPair)
+    if not isinstance(spec.tail, RealPair):
+        raise ValueError("triangle confinement applies to regularized profiles only")
     slope = spec.triangle_slope
     u0 = equilibria(params).u_tail
     v_scale = float(np.max(np.abs(profile.v))) if profile.v.size else 1.0
@@ -553,16 +549,22 @@ def check_derivative_bounds(profile: Profile) -> BoundsCheck:
 
     Lower bound -(delta c / epsilon)(2 - 3 c**(2/3) + c**2) (the global
     maximum of the conservative force times delta c / epsilon); upper bound
-    (delta c / epsilon)(c / (c - u_bar) + c**2 / 2).  Requires epsilon > 0.
+    (delta c / epsilon)(c / (c - u_bar) + c**2 / 2).  Both are intersected
+    with |v| <= sqrt(2 delta c f(c)), f = dissipated_energy: V = v**2/2 + G(u)
+    <= 0 along the bore and G >= G(u_tail) = -delta c f(c) on [0, u_bar].
+    That energy bound holds for any epsilon and c - u_bar, so it still
+    certifies at large c, where the upper bound grows like 1/(c - u_bar).
+    Requires epsilon > 0.
     """
     params = profile.params
     if params.epsilon <= 0.0:
         raise ValueError("derivative bounds require epsilon > 0")
     c = params.c
     dc_over_eps = params.delta * c / params.epsilon
-    lower = -dc_over_eps * (2.0 - 3.0 * c ** (2.0 / 3.0) + c * c)
+    energy = math.sqrt(2.0 * params.delta * c * dissipated_energy(c))
+    lower = max(-dc_over_eps * (2.0 - 3.0 * c ** (2.0 / 3.0) + c * c), -energy)
     u_bar = solitary_amplitude(c)
-    upper = dc_over_eps * (c / (c - u_bar) + 0.5 * c * c)
+    upper = min(dc_over_eps * (c / (c - u_bar) + 0.5 * c * c), energy)
     v_scale = float(np.max(np.abs(profile.v))) if profile.v.size else 1.0
     slack = 10.0 * (profile.options.atol + profile.options.rtol * v_scale)
     worst = float(min(np.min(profile.v - lower), np.min(upper - profile.v)))

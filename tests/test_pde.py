@@ -281,11 +281,30 @@ def test_momentum_rate_satisfies_helmholtz_equation():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def override_config():
+    """small_config on a 256-cell grid: dx = 0.25, dt = 0.025."""
+    return small_config(grid=Grid(-32.0, 32.0, 256, "periodic"), t_end=0.5)
+
+
 def test_vacuum_state_raises():
-    g = periodic_grid(64)
-    state = FieldPair(np.full(64, -1.5), np.zeros(64))
-    with pytest.raises(NumericsError, match="vacuum"):
-        semidiscrete_rhs_peregrine(state.eta, state.u, 1.0, 0.1, g)
+    # The rate is a polynomial in eta and has no singularity at 1 + eta = 0;
+    # the run refuses such a state, the starting one included, at t = 0.
+    cfg = override_config()
+    state = FieldPair(np.full(256, -1.5), np.zeros(256))
+    eta_t, u_t = semidiscrete_rhs_peregrine(
+        state.eta, state.u, cfg.delta, cfg.epsilon, cfg.grid
+    )
+    assert np.all(np.isfinite(eta_t)) and np.all(np.isfinite(u_t))
+    with pytest.raises(NumericsError, match=r"vacuum .* at t = 0$"):
+        evolve(cfg, initial=state)
+
+
+def test_override_breaching_advective_bound_fails_at_t0():
+    # u = 10 admits steps up to 0.9 * 0.25 / 12 = 0.01875 < dt.
+    cfg = override_config()
+    state = FieldPair(np.zeros(256), np.full(256, 10.0))
+    with pytest.raises(NumericsError, match=r"fell below dt = 0\.025 at t = 0$"):
+        evolve(cfg, initial=state)
 
 
 def test_rhs_grid_mismatch():
@@ -552,15 +571,13 @@ def test_initial_override_size_check():
         evolve(cfg, initial=FieldPair(np.zeros(10), np.zeros(10)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_raises_numerics_error():
-    # The override skips the constructor's CFL screen; the first step's
-    # bound check, a vacuum or an overflow of this fast field each surface
-    # as NumericsError.
+    # The override skips the constructor's CFL screen, which samples
+    # config.ic; the run's own gate refuses this fast field at t = 0.
     cfg = small_config(ic=Gaussian(0.0, 10.0), t_end=2.0)
     n = cfg.grid.n
     wild = FieldPair(np.zeros(n), 50.0 * np.sin(2.0 * math.pi * np.arange(n) / n))
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="at t = 0$"):
         evolve(cfg, initial=wild)
 
 

@@ -7,7 +7,7 @@ oscillatory one (c = 2, delta = 0.5, epsilon = 0.3, well below it).
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -362,6 +362,19 @@ def test_derivative_bounds(mono_profile, osc_profile):
 )
 def test_derivative_bounds_at_large_speed(params):
     assert check_derivative_bounds(integrate_profile(params)).passed
+
+
+def test_derivative_bounds_refuse_scaled_v_at_large_speed():
+    # At (8, 0.5, 1) the bounds from the force are [-216, 2.0e10] around
+    # max |v| = 29.7; the energy bound sqrt(2 delta c f(c)) = 33.8 is what
+    # refuses v scaled by 1.2 (35.6).
+    profile = integrate_profile(WaveParams(8.0, 0.5, 1.0))
+    scaled = replace(profile, v=1.2 * profile.v)
+    res = check_derivative_bounds(scaled)
+    assert not res.passed
+    bound = math.sqrt(2.0 * 0.5 * 8.0 * dissipated_energy(8.0))
+    assert bound == pytest.approx(33.8, abs=0.05)
+    assert res.worst == pytest.approx(bound - 1.2 * np.max(np.abs(profile.v)))
 
 
 def polyline_self_intersections(x: np.ndarray, y: np.ndarray, max_points: int = 1500) -> int:
