@@ -17,7 +17,6 @@ from .waveform import (
     RealPair,
     Regime,
     RegimeKind,
-    Spectrum,
     WaveParams,
     classify_regime,
     critical_epsilon,

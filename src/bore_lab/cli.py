@@ -66,6 +66,9 @@ from .waveform import (
 )
 from .waveform import ComplexConjugate
 
+# A speed-amplitude row costs about 0.5 ms; 1000x the default of 100 rows.
+MAX_SPEED_AMPLITUDE_ROWS = 10**5
+
 
 def _resolve_params(args) -> WaveParams:
     pairs = {}
@@ -92,12 +95,12 @@ def cmd_classify(args) -> int:
     regime = classify_regime(params)
     eq = equilibria(params)
     lam_minus, lam_plus = saddle_eigenvalues(params)
-    spec = tail_eigenvalues(params)
+    pair = tail_eigenvalues(params)
     u_bar = solitary_amplitude(params.c)
-    if isinstance(spec.tail, ComplexConjugate):
-        tail = {"type": "complex", "real": spec.tail.real, "imag": spec.tail.imag}
+    if isinstance(pair, ComplexConjugate):
+        tail = {"type": "complex", "real": pair.real, "imag": pair.imag}
     else:
-        tail = {"type": "real", "minus": spec.tail.minus, "plus": spec.tail.plus}
+        tail = {"type": "real", "minus": pair.minus, "plus": pair.plus}
     report = {
         "kind": regime.kind.value,
         "epsilon_squared": regime.criterion_lhs,
@@ -156,8 +159,10 @@ def cmd_speed_amplitude(args) -> int:
         raise ConfigError(
             f"need 1 < c_min < c_max < inf, got c_min={args.c_min}, c_max={args.c_max}"
         )
-    if args.n < 2:
-        raise ConfigError(f"need at least 2 rows, got {args.n}")
+    if not 2 <= args.n <= MAX_SPEED_AMPLITUDE_ROWS:
+        raise ConfigError(
+            f"need 2 to {MAX_SPEED_AMPLITUDE_ROWS} rows (the row cap), got {args.n}"
+        )
     out = Path(args.out)
     rows = [
         (

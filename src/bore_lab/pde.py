@@ -55,6 +55,12 @@ MAX_GRID_CELLS = 2**20
 # 1000 steps x 3200 cells = 1.6e7, and a few minutes of RK4.
 MAX_CELL_STEPS = 2 * 10**9
 
+# Largest memory a run may hold, in bytes: rows x cells x 8 x
+# (15 + 2 x snapshots), 15 arrays being the RK4 stage workspace per cell
+# and row and 2 the eta and u of each snapshot copy.  About 290 times the
+# 3.7 MB of the acceptance error study, the largest preset or bench run.
+MAX_RUN_BYTES = 2**30
+
 # End of RK4's stability interval on the negative real axis (Hairer &
 # Wanner, Solving ODEs II, IV.2).
 _RK4_REAL_LIMIT = 2.785
@@ -396,7 +402,7 @@ class RunConfig:
 def _check_work(config: RunConfig, epsilon: float, rows: int) -> None:
     """Refuse damping beyond RK4's real stability interval, the largest rate
     of epsilon (I - delta D2)^-1 D2 being 4 epsilon / (dx**2 + 4 delta) at
-    any delta >= 0, and runs of more than MAX_CELL_STEPS."""
+    any delta >= 0, and runs of more than MAX_CELL_STEPS or MAX_RUN_BYTES."""
     damping = config.dt * 4.0 * epsilon / (config.grid.dx**2 + 4.0 * config.delta)
     if damping > _RK4_REAL_LIMIT:
         raise ConfigError(
@@ -409,6 +415,13 @@ def _check_work(config: RunConfig, epsilon: float, rows: int) -> None:
         raise ConfigError(
             f"the run takes {cell_steps:.3g} cell-steps (steps x cells x rows), "
             f"over the cell-step budget {MAX_CELL_STEPS:.3g}"
+        )
+    snapshots = len(config.snapshot_times) or 1
+    run_bytes = rows * config.grid.n * 8 * (15 + 2 * snapshots)
+    if run_bytes > MAX_RUN_BYTES:
+        raise ConfigError(
+            f"the run holds {run_bytes:.3g} bytes (rows x cells x 8 x (15 + 2 x snapshots)), "
+            f"over the memory budget {MAX_RUN_BYTES} (2**30)"
         )
 
 

@@ -225,12 +225,13 @@ def _slow_rate(params: WaveParams) -> float:
     complex one.  The fast node eigenvalue grows like 1/delta but sets no
     scale of the backward orbit, so it is left out.
     """
-    spec = tail_eigenvalues(params)
-    if isinstance(spec.tail, ComplexConjugate):
-        tail_rate = math.hypot(spec.tail.real, spec.tail.imag)
+    tail = tail_eigenvalues(params)
+    if isinstance(tail, ComplexConjugate):
+        tail_rate = math.hypot(tail.real, tail.imag)
     else:
-        tail_rate = spec.tail.minus
-    return max(abs(spec.lambda_minus), tail_rate)
+        tail_rate = tail.minus
+    lam_minus, _ = saddle_eigenvalues(params)
+    return max(abs(lam_minus), tail_rate)
 
 
 def _first_step(f0, y0, t_end: float, opts: ProfileOptions) -> float:
@@ -525,10 +526,10 @@ def check_triangle_confinement(profile: Profile) -> BoundsCheck:
     ValueError.  The slack absorbs integration error (10x tolerance).
     """
     params = profile.params
-    spec = tail_eigenvalues(params)
-    if not isinstance(spec.tail, RealPair):
+    tail = tail_eigenvalues(params)
+    if not isinstance(tail, RealPair):
         raise ValueError("triangle confinement applies to regularized profiles only")
-    slope = spec.triangle_slope
+    slope = params.delta * params.c * tail.minus
     u0 = equilibria(params).u_tail
     v_scale = float(np.max(np.abs(profile.v))) if profile.v.size else 1.0
     slack = 10.0 * (profile.options.atol + profile.options.rtol * max(u0, v_scale))

@@ -106,28 +106,6 @@ class ComplexConjugate:
 TailEigenvalues = Union[RealPair, ComplexConjugate]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Linearization data at both equilibria of the profile system.
-
-    lambda_minus / lambda_plus: saddle eigenvalues at the rest state (0, 0);
-    lambda_minus < 0 < lambda_plus for every admissible parameter set.
-    tail: eigenvalues at the upstream state (u_tail, 0), either a RealPair
-    (regularized bore) or a ComplexConjugate pair (oscillatory bore).
-    restoring: curvature coefficient of the scaled potential at u_tail.
-    discriminant: epsilon**2 - 4 delta c restoring; its sign decides `tail`.
-    triangle_slope: delta*c*Lambda_minus, the slope of the invariant-region
-    edge through (u_tail, 0); None in the oscillatory case.
-    """
-
-    lambda_minus: float
-    lambda_plus: float
-    tail: TailEigenvalues
-    restoring: float
-    discriminant: float
-    triangle_slope: Union[float, None]
-
-
 class RegimeKind(str, Enum):
     OSCILLATORY = "oscillatory"
     REGULARIZED = "regularized"
@@ -215,46 +193,12 @@ def saddle_eigenvalues(params: WaveParams) -> tuple:
     return lam_minus, lam_plus
 
 
-def tail_eigenvalues(params: WaveParams) -> Spectrum:
-    """Linearization data at both equilibria; see Spectrum for the fields.
-
-    At the upstream point the eigenvalues are
-    (epsilon -/+ sqrt(epsilon**2 - 4 delta c restoring(c))) / (2 delta c).
-    A negative discriminant gives the conjugate pair with real part
-    epsilon / (2 delta c); a nonnegative one gives two positive reals
-    (unstable node) with the smaller root evaluated in product form.
-    """
-    c, delta, eps = params.c, params.delta, params.epsilon
-    lam_minus, lam_plus = saddle_eigenvalues(params)
-    restoring = restoring_coefficient(c)
-    disc = eps * eps - 4.0 * delta * c * restoring
-    two_dc = 2.0 * delta * c
-    if disc < 0.0:
-        tail: TailEigenvalues = ComplexConjugate(
-            real=eps / two_dc, imag=math.sqrt(-disc) / two_dc
-        )
-        slope = None
-    else:
-        root = math.sqrt(disc)
-        big = (eps + root) / two_dc
-        small = 2.0 * restoring / (eps + root) if eps + root > 0.0 else 0.0
-        tail = RealPair(minus=small, plus=big)
-        slope = delta * c * small
-    return Spectrum(
-        lambda_minus=lam_minus,
-        lambda_plus=lam_plus,
-        tail=tail,
-        restoring=restoring,
-        discriminant=disc,
-        triangle_slope=slope,
-    )
-
-
 def classify_regime(params: WaveParams) -> Regime:
     """Decide oscillatory vs regularized from epsilon**2 vs 4 delta c alpha.
 
     Ties (discriminant exactly zero) count as regularized: the tail point
-    is already a degenerate node and the profile is monotone.
+    is already a degenerate node and the profile is monotone.  The only
+    evaluation of the damping threshold; other functions read it here.
     """
     lhs = params.epsilon * params.epsilon
     rhs = 4.0 * params.delta * params.c * restoring_coefficient(params.c)
@@ -262,17 +206,37 @@ def classify_regime(params: WaveParams) -> Regime:
     return Regime(kind=kind, criterion_lhs=lhs, criterion_rhs=rhs)
 
 
+def tail_eigenvalues(params: WaveParams) -> TailEigenvalues:
+    """Eigenvalues of the linearization at the upstream point (u_tail, 0).
+
+    They are (epsilon -/+ sqrt(d)) / (2 delta c), with the discriminant
+    d = epsilon**2 - 4 delta c restoring(c) read from classify_regime.  An
+    oscillatory regime gives the conjugate pair with real part
+    epsilon / (2 delta c); a regularized one gives two positive reals
+    (unstable node) with the smaller root evaluated in product form.
+    """
+    regime = classify_regime(params)
+    d = regime.criterion_lhs - regime.criterion_rhs
+    eps = params.epsilon
+    two_dc = 2.0 * params.delta * params.c
+    if regime.kind is RegimeKind.OSCILLATORY:
+        return ComplexConjugate(real=eps / two_dc, imag=math.sqrt(-d) / two_dc)
+    root = math.sqrt(d)
+    small = 2.0 * restoring_coefficient(params.c) / (eps + root) if eps + root > 0.0 else 0.0
+    return RealPair(minus=small, plus=(eps + root) / two_dc)
+
+
 def critical_epsilon(c: float, delta: float) -> float:
     """Dissipation strength separating the two regimes at fixed (c, delta).
 
-    epsilon* = 2 sqrt(delta c restoring(c)): below it the upstream point
-    spirals, at or above it the profile is monotone.
+    The smallest double epsilon* that classify_regime calls regularized:
+    sqrt(4 delta c restoring(c)), or the next double up when that rounded
+    root squares to just below the threshold.
     """
-    if not (c > 1.0):
-        raise ValueError(f"critical epsilon needs c > 1, got {c}")
-    if not (delta > 0.0):
-        raise ValueError(f"critical epsilon needs delta > 0, got {delta}")
-    return 2.0 * math.sqrt(delta * c * restoring_coefficient(c))
+    eps = math.sqrt(classify_regime(WaveParams(c, delta, 0.0)).criterion_rhs)
+    if classify_regime(WaveParams(c, delta, eps)).kind is RegimeKind.OSCILLATORY:
+        eps = math.nextafter(eps, math.inf)
+    return eps
 
 
 def _reduced_potential(u, c: float):

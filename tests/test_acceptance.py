@@ -150,10 +150,10 @@ def test_c03_tail_and_spectrum(orbits):
         lam_minus, _ = saddle_eigenvalues(params)
         assert report.tail_decay_rate_plus == pytest.approx(lam_minus, rel=0.05)
     _, report = orbits[OSCILLATORY]
-    spec = tail_eigenvalues(OSCILLATORY)
+    tail = tail_eigenvalues(OSCILLATORY)
     envelope = OSCILLATORY.epsilon / (2.0 * OSCILLATORY.delta * OSCILLATORY.c)
     assert report.tail_decay_rate_minus == pytest.approx(envelope, rel=0.05)
-    assert report.tail_frequency == pytest.approx(spec.tail.imag, rel=0.05)
+    assert report.tail_frequency == pytest.approx(tail.imag, rel=0.05)
 
 
 def test_c04_energy_identity(orbits):

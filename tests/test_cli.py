@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,10 @@ def test_evolve_horizon_check(tmp_path, capsys):
     assert main(["evolve", "--config", conf, "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "t_end" in err
+    # The horizon is measured from x = 0, so the domain must straddle it.
+    conf = write_small_config(tmp_path, with_value(SMALL_RUN, "x_min", "10"))
+    assert main(["evolve", "--config", conf, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "must straddle" in capsys.readouterr().err
 
 
 def test_evolve_cfl_check(tmp_path, capsys):
@@ -428,6 +433,44 @@ def test_non_finite_or_out_of_range_numbers_exit_2(argv, config, name, tmp_path,
     assert captured.out == ""
 
 
+# Over the memory budget: 2**20 cells with 60 snapshots (below), and an
+# error study of 7501 rows; both stay inside the cell-step budget.
+MANY_SNAPSHOTS = """\
+kind = evolution
+system = peregrine-dissipative
+delta = 1
+epsilon = 0.1
+ic = riemann
+eta_left = 0.5
+x_min = -8
+x_max = 8
+dx = 1.52587890625e-05
+dt = 5e-6
+t_end = 0.006
+snapshot_times = """ + ",".join(f"{i}e-4" for i in range(60)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, cap",
+    [
+        pytest.param(["speed-amplitude", "--c-min", "1.1", "--c-max", "2", "--n", "100001",
+                      "--out", "{out}.csv"], SMALL_RUN, "100000 rows (the row cap)",
+                     id="speed-amplitude-rows"),
+        pytest.param(EVOLVE, MANY_SNAPSHOTS, "memory budget", id="evolve-snapshot-bytes"),
+        pytest.param(["error-study", "--config", "{config}", "--epsilons", ",".join(["0.1"] * 7500),
+                      "--out-dir", "{out}"], STUDY_RUN, "memory budget",
+                     id="error-study-batch-rows"),
+    ],
+)
+def test_over_budget_inputs_exit_2_at_once(argv, config, cap, tmp_path, capsys):
+    conf = write_small_config(tmp_path, config)
+    argv = [a.format(config=conf, out=tmp_path / "out") for a in argv]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert cap in capsys.readouterr().err
+
+
 # ---- overlay -----------------------------------------------------------
 
 
@@ -503,6 +546,9 @@ def test_overlay_malformed_csv_names_line(profile_dir, tmp_path, capsys):
         "t,eta\n" + "".join(f"{i},{0.1 * i}\n" for i in range(5)),  # too short
         "t,eta\n" + "".join(f"{10 - i},{0.1 * i}\n" for i in range(12)),  # decreasing
         "t,eta\n" + "".join(f"{i},nan\n" for i in range(12)),  # non-finite
+        # flat: no front to align on, so the shifted profile ends where the
+        # gauge begins and the two barely overlap
+        "t,eta\n" + "".join(f"{i},0\n" for i in range(12)),
     ],
 )
 def test_overlay_rejects_bad_gauge_data(profile_dir, tmp_path, capsys, content):

@@ -186,6 +186,10 @@ def test_load_config_dispatches_on_keys(tmp_path):
     evo = tmp_path / "e.conf"
     write_config(dict(PRESETS["sec4-riemann"][0]), evo)
     assert isinstance(load_config(evo), RunConfig)
+    bare = tmp_path / "b.conf"
+    bare.write_text("kind = evolution\n")
+    with pytest.raises(ConfigError, match="missing required key 'system'"):
+        load_config(bare)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

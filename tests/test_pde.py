@@ -15,6 +15,7 @@ from bore_lab.pde import (
     Gaussian,
     MAX_CELL_STEPS,
     MAX_GRID_CELLS,
+    MAX_RUN_BYTES,
     Grid,
     RunConfig,
     SmoothedRiemann,
@@ -134,6 +135,7 @@ def test_riemann_initial_limits_and_midpoint():
         SmoothedRiemann(math.inf, 2.0),
         Gaussian(math.nan, 10.0),
         Gaussian(math.inf, 10.0),
+        "riemann",  # a key value, not an initial-condition spec
     ],
 )
 def test_initial_condition_validation(ic):
@@ -312,6 +314,11 @@ def test_rhs_grid_mismatch():
         semidiscrete_rhs_peregrine(np.zeros(64), np.zeros(64), 1.0, 0.0, periodic_grid(128))
 
 
+def test_rhs_rejects_negative_delta():
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        semidiscrete_rhs_peregrine(np.zeros(64), np.zeros(64), -0.1, 0.0, periodic_grid(64))
+
+
 def composed_rate(eta, u, delta, epsilon, grid):
     """The Peregrine rate from the public operators, one call per term."""
     eta_t = first_difference((-1.0 - eta) * u, grid, parity=-1)
@@ -476,6 +483,28 @@ def test_cell_step_budget():
     for dt in (7.9e-7, 1e-9, 5e-324):
         with pytest.raises(ConfigError, match="cell-step budget"):
             small_config(dt=dt)
+
+
+def test_snapshot_byte_budget():
+    # 2**20 cells x 8 bytes x (15 + 2 x 56 snapshots) is just inside 2**30,
+    # 57 snapshots just over; 1200 steps stay inside the cell-step budget.
+    assert MAX_GRID_CELLS * 8 * (15 + 2 * 56) <= MAX_RUN_BYTES < MAX_GRID_CELLS * 8 * (15 + 2 * 57)
+    run = dict(grid=Grid(-8.0, 8.0, MAX_GRID_CELLS, "periodic"), dt=5e-6, t_end=0.006)
+    small_config(snapshot_times=[1e-4 * i for i in range(56)], **run)
+    with pytest.raises(ConfigError, match="memory budget"):
+        small_config(snapshot_times=[1e-4 * i for i in range(57)], **run)
+
+
+def test_batch_row_budget():
+    # A 5-step study on 3200 cells: 10**5 rows are 1.6e9 cell-steps, inside
+    # that budget, but 4.4e10 bytes; the cap falls between 2467 and 2468 rows.
+    base = small_config(grid=Grid(-400.0, 400.0, 3200, "periodic"), t_end=0.125,
+                        snapshot_times=(0.125,))
+    assert 2467 * 3200 * 8 * 17 <= MAX_RUN_BYTES < 2468 * 3200 * 8 * 17
+    with pytest.raises(ConfigError, match="memory budget"):
+        error_study(base, [0.1] * (10**5 - 1))
+    with pytest.raises(ConfigError, match="memory budget"):
+        error_study(base, [0.1] * 2467)
 
 
 def test_cfl_bound_formula():

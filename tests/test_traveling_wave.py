@@ -140,9 +140,11 @@ def test_manifold_seed_offset_validation():
         manifold_seed(MONO, 0.02 * eq.u_tail)
 
 
-def test_integrate_profile_rejects_zero_damping():
+def test_integrate_profile_rejects_zero_damping(mono_profile):
     with pytest.raises(ValueError):
         integrate_profile(WaveParams(1.3, 0.2, 0.0))
+    with pytest.raises(ValueError, match="require epsilon > 0"):
+        check_derivative_bounds(replace(mono_profile, params=WaveParams(1.3, 0.2, 0.0)))
 
 
 @pytest.mark.parametrize(
@@ -194,6 +196,21 @@ def test_non_finite_field_fails_at_once(mono_profile, monkeypatch):
     assert -xi < mono_profile.xi[-1] - mono_profile.xi[0]
 
 
+def test_orbit_at_the_singular_line_fails_at_once(monkeypatch):
+    # A field that drives u up without bound, read backward in xi, carries
+    # the orbit past u = c, where eta = u / (c - u) has no meaning.
+    field = traveling_wave.vector_field
+    calls = []
+
+    def pushed(u, v, params):
+        calls.append(None)
+        return (-10.0, 0.0) if len(calls) > 300 else field(u, v, params)
+
+    monkeypatch.setattr(traveling_wave, "vector_field", pushed)
+    with pytest.raises(IntegrationError, match="singular line u = c"):
+        integrate_profile(MONO)
+
+
 def test_solver_failure_is_an_integration_error():
     # Tolerances far below the unit roundoff: LSODA returns a negative
     # code at once, and scipy's warning for it does not escape.
@@ -242,15 +259,24 @@ def test_mono_front_crossing_at_origin(mono_profile):
 
 def test_mono_tail_rates(mono_shape):
     lam_minus, _ = saddle_eigenvalues(MONO)
-    spec = tail_eigenvalues(MONO)
+    tail = tail_eigenvalues(MONO)
     assert mono_shape.tail_decay_rate_plus == pytest.approx(lam_minus, rel=1e-2)
-    assert mono_shape.tail_decay_rate_minus == pytest.approx(spec.tail.minus, rel=1e-2)
+    assert mono_shape.tail_decay_rate_minus == pytest.approx(tail.minus, rel=1e-2)
 
 
 def test_mono_triangle_confinement(mono_profile):
     res = check_triangle_confinement(mono_profile)
     assert res.passed
     assert res.worst >= -res.slack
+
+
+def test_triangle_check_refuses_scaled_v(mono_profile):
+    # v scaled by 1.05 leaves the triangle through its lower edge, whose
+    # slope delta c Lambda_minus nothing else checks: an edge built from the
+    # fast rate Lambda_plus would still let this orbit pass.
+    res = check_triangle_confinement(replace(mono_profile, v=1.05 * mono_profile.v))
+    assert not res.passed
+    assert res.worst == pytest.approx(-2.1e-5, rel=0.05)
 
 
 def test_mono_elevation_consistency(mono_profile):
@@ -300,11 +326,11 @@ def test_osc_crest_below_solitary_bound(osc_profile):
 
 
 def test_osc_tail_envelope_and_frequency(osc_shape):
-    spec = tail_eigenvalues(OSC)
+    tail = tail_eigenvalues(OSC)
     lam_minus, _ = saddle_eigenvalues(OSC)
     assert osc_shape.tail_decay_rate_plus == pytest.approx(lam_minus, rel=1e-2)
-    assert osc_shape.tail_decay_rate_minus == pytest.approx(spec.tail.real, rel=2e-2)
-    assert osc_shape.tail_frequency == pytest.approx(spec.tail.imag, rel=2e-2)
+    assert osc_shape.tail_decay_rate_minus == pytest.approx(tail.real, rel=2e-2)
+    assert osc_shape.tail_frequency == pytest.approx(tail.imag, rel=2e-2)
 
 
 def test_osc_features_agree_with_denser_sampling(osc_shape, monkeypatch):

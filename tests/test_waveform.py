@@ -157,6 +157,26 @@ def test_critical_epsilon_flips_regime():
         assert at.kind is RegimeKind.REGULARIZED
 
 
+@pytest.mark.parametrize("c", [1.05, 1.3, 2.0, 5.0, 9.5])
+@pytest.mark.parametrize("delta", [1e-3, 0.2, 2.0])
+def test_one_tie_rule(c, delta):
+    # critical_epsilon is the smallest double classify_regime calls
+    # regularized, and tail_eigenvalues branches the same way on both sides.
+    eps_star = critical_epsilon(c, delta)
+    at = WaveParams(c, delta, eps_star)
+    below = WaveParams(c, delta, math.nextafter(eps_star, 0.0))
+    assert classify_regime(at).kind is RegimeKind.REGULARIZED
+    assert isinstance(tail_eigenvalues(at), RealPair)
+    assert classify_regime(below).kind is RegimeKind.OSCILLATORY
+    assert isinstance(tail_eigenvalues(below), ComplexConjugate)
+
+
+@pytest.mark.parametrize("c, delta", [(math.inf, 0.5), (2.0, math.inf)])
+def test_critical_epsilon_refuses_non_finite_input(c, delta):
+    with pytest.raises(ValueError, match="must be finite"):
+        critical_epsilon(c, delta)
+
+
 def test_critical_epsilon_values():
     assert critical_epsilon(2.0, 0.5) == pytest.approx(math.sqrt(12.0), rel=1e-13)
     assert critical_epsilon(1.3, 0.2) == pytest.approx(0.8383395446229535, rel=1e-12)
@@ -197,31 +217,32 @@ def test_saddle_product_identity():
 
 
 def test_tail_eigenvalues_complex_case():
-    spec = tail_eigenvalues(WaveParams(2.0, 0.5, 0.0))
-    assert isinstance(spec.tail, ComplexConjugate)
-    assert spec.tail.real == pytest.approx(0.0, abs=1e-15)
-    assert spec.tail.imag == pytest.approx(math.sqrt(3.0), rel=1e-13)
-    assert spec.triangle_slope is None
+    tail = tail_eigenvalues(WaveParams(2.0, 0.5, 0.0))
+    assert isinstance(tail, ComplexConjugate)
+    assert tail.real == pytest.approx(0.0, abs=1e-15)
+    assert tail.imag == pytest.approx(math.sqrt(3.0), rel=1e-13)
 
 
 def test_tail_eigenvalues_real_case():
     params = WaveParams(1.3, 0.2, 1.2)
-    spec = tail_eigenvalues(params)
-    assert isinstance(spec.tail, RealPair)
-    assert spec.discriminant == pytest.approx(1.44 - 0.702813192078621, rel=1e-10)
-    assert 0.0 < spec.tail.minus <= spec.tail.plus
+    tail = tail_eigenvalues(params)
+    assert isinstance(tail, RealPair)
+    regime = classify_regime(params)
+    discriminant = regime.criterion_lhs - regime.criterion_rhs
+    assert discriminant == pytest.approx(1.44 - 0.702813192078621, rel=1e-10)
+    assert 0.0 < tail.minus <= tail.plus
     dc = params.delta * params.c
-    for lam in (spec.tail.minus, spec.tail.plus):
-        res = lam * lam - params.epsilon / dc * lam + spec.restoring / dc
+    restoring = restoring_coefficient(params.c)
+    for lam in (tail.minus, tail.plus):
+        res = lam * lam - params.epsilon / dc * lam + restoring / dc
         assert abs(res) < 1e-12 * max(1.0, lam * lam)
-    assert spec.triangle_slope == pytest.approx(dc * spec.tail.minus, rel=1e-14)
 
 
 def test_tail_real_part_is_half_epsilon_rule():
     params = WaveParams(1.11, 1.0 / 3.0, 0.06)
-    spec = tail_eigenvalues(params)
-    assert isinstance(spec.tail, ComplexConjugate)
-    assert spec.tail.real == pytest.approx(
+    tail = tail_eigenvalues(params)
+    assert isinstance(tail, ComplexConjugate)
+    assert tail.real == pytest.approx(
         params.epsilon / (2.0 * params.delta * params.c), rel=1e-14
     )
 
@@ -413,3 +434,9 @@ def test_parameter_validation():
         critical_epsilon(1.0, 0.5)
     with pytest.raises(ValueError):
         restoring_coefficient(0.99)
+    with pytest.raises(ValueError, match="dissipated energy needs c >= 1"):
+        dissipated_energy(0.99)
+    with pytest.raises(ValueError, match="tail elevation must be >= 0"):
+        froude_from_tail(-0.1)
+    with pytest.raises(ValueError, match="empirical bore amplitude needs c >= 1"):
+        empirical_bore_amplitude(0.5)
