@@ -61,12 +61,11 @@ from .waveform import (
     potential,
     saddle_eigenvalues,
     solitary_amplitude,
-    surface_elevation,
     tail_eigenvalues,
 )
 from .waveform import ComplexConjugate
 
-# A speed-amplitude row costs about 0.5 ms; 1000x the default of 100 rows.
+# A speed-amplitude row costs about 15 us; 1000x the default of 100 rows.
 MAX_SPEED_AMPLITUDE_ROWS = 10**5
 
 
@@ -84,19 +83,13 @@ def _resolve_params(args) -> WaveParams:
 
 
 def cmd_classify(args) -> int:
-    """Print the regime and spectrum report as JSON.
-
-    eta_solitary = u_bar / (c - u_bar) carries few significant digits at
-    large c: one ulp of u_bar moves it by 5.6e-7 (relative) at c = 8,
-    1.6e-4 at c = 8.9, 5.9e-3 at c = 9.5 and 0.17 at c = 10, leaving about
-    6, 4, 2 and under 1 significant digits.
-    """
+    """Print the regime and spectrum report as JSON."""
     params = _resolve_params(args)
     regime = classify_regime(params)
     eq = equilibria(params)
     lam_minus, lam_plus = saddle_eigenvalues(params)
     pair = tail_eigenvalues(params)
-    u_bar = solitary_amplitude(params.c)
+    u_bar, w = solitary_amplitude(params.c)
     if isinstance(pair, ComplexConjugate):
         tail = {"type": "complex", "real": pair.real, "imag": pair.imag}
     else:
@@ -109,7 +102,7 @@ def cmd_classify(args) -> int:
         "u_tail": eq.u_tail,
         "eta_tail": eq.eta_tail,
         "u_solitary": u_bar,
-        "eta_solitary": surface_elevation(u_bar, params.c),
+        "eta_solitary": u_bar / w,
         "saddle_rate_minus": lam_minus,
         "saddle_rate_plus": lam_plus,
         "tail_rates": tail,
@@ -138,10 +131,10 @@ def cmd_profile(args) -> int:
     # Each flag is named after its field; flags left out keep the field's default.
     given = {f.name: getattr(args, f.name) for f in fields(ProfileOptions)}
     options = ProfileOptions(**{k: v for k, v in given.items() if v is not None})
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     profile = integrate_profile(params, options)
     report = shape_report(profile)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_profile_csv(profile, out_dir / "profile.csv")
     write_shape_report_json(report, out_dir / "shape.json", profile.solver)
     (out_dir / "plot.gp").write_text(_PROFILE_PLOT)
@@ -151,10 +144,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_speed_amplitude(args) -> int:
-    """Tabulate eta_tail, eta_solitary and the T1994 fit against c.
-
-    The eta_solitary column has the precision stated in cmd_classify.
-    """
+    """Tabulate eta_tail, eta_solitary and the T1994 fit against c."""
     if not 1.0 < args.c_min < args.c_max < math.inf:
         raise ConfigError(
             f"need 1 < c_min < c_max < inf, got c_min={args.c_min}, c_max={args.c_max}"
@@ -164,15 +154,11 @@ def cmd_speed_amplitude(args) -> int:
             f"need 2 to {MAX_SPEED_AMPLITUDE_ROWS} rows (the row cap), got {args.n}"
         )
     out = Path(args.out)
-    rows = [
-        (
-            c,
-            equilibria(WaveParams(c, 1.0, 0.0)).eta_tail,
-            surface_elevation(solitary_amplitude(c), c),
-            empirical_bore_amplitude(c),
-        )
-        for c in np.linspace(args.c_min, args.c_max, args.n).tolist()
-    ]
+    rows = []
+    for c in np.linspace(args.c_min, args.c_max, args.n).tolist():
+        u_bar, w = solitary_amplitude(c)
+        eta_tail = equilibria(WaveParams(c, 1.0, 0.0)).eta_tail
+        rows.append((c, eta_tail, u_bar / w, empirical_bore_amplitude(c)))
     write_csv(out, "c,eta_tail,eta_solitary,eta_T1994_inverse", np.transpose(rows))
     print(f"wrote {out} ({args.n} rows)")
     return 0
@@ -213,9 +199,9 @@ def _evolve_plot(n_snapshots: int, prefix: str) -> str:
 
 def cmd_evolve(args) -> int:
     config = _load_run_config(args.config)
+    snapshots = evolve(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshots = evolve(config)
     for i, snap in enumerate(snapshots):
         write_snapshot_csv(snap, config.grid, out_dir / f"snapshot_{i:03d}.csv")
         write_snapshot_manifest(config, snap, out_dir / f"snapshot_{i:03d}.json")
@@ -237,9 +223,9 @@ def cmd_error_study(args) -> int:
         raise ConfigError(f"bad epsilon list: {args.epsilons!r}") from None
     if not epsilons:
         raise ConfigError("epsilon list is empty")
+    result = error_study(config, epsilons)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = error_study(config, epsilons)
     for i, series in enumerate(result.series):
         write_error_series_csv(series, out_dir / f"error_{i:03d}.csv")
     fits = [
@@ -317,8 +303,7 @@ plot 'potential.csv' using 1:2 with lines
 
 def _export_potential(pairs: dict, out_dir: Path) -> None:
     params = WaveParams(float(pairs["c"]), float(pairs["delta"]), 0.0)
-    u_bar = solitary_amplitude(params.c)
-    u_hi = u_bar + 0.25 * (params.c - u_bar)
+    u_hi = params.c - 0.75 * solitary_amplitude(params.c)[1]
     grid = np.linspace(-0.4, u_hi, 801)
     write_csv(out_dir / "potential.csv", "u,G", [grid, potential(grid, params)])
     (out_dir / "potential.gp").write_text(_POTENTIAL_PLOT)

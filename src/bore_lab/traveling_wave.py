@@ -550,11 +550,12 @@ def check_derivative_bounds(profile: Profile) -> BoundsCheck:
 
     Lower bound -(delta c / epsilon)(2 - 3 c**(2/3) + c**2) (the global
     maximum of the conservative force times delta c / epsilon); upper bound
-    (delta c / epsilon)(c / (c - u_bar) + c**2 / 2).  Both are intersected
-    with |v| <= sqrt(2 delta c f(c)), f = dissipated_energy: V = v**2/2 + G(u)
-    <= 0 along the bore and G >= G(u_tail) = -delta c f(c) on [0, u_bar].
-    That energy bound holds for any epsilon and c - u_bar, so it still
-    certifies at large c, where the upper bound grows like 1/(c - u_bar).
+    (delta c / epsilon)(c / w + c**2 / 2), w = c - u_bar from
+    solitary_amplitude.  Both are intersected with |v| <= sqrt(2 delta c f(c)),
+    f = dissipated_energy: V = v**2/2 + G(u) <= 0 along the bore and
+    G >= G(u_tail) = -delta c f(c) on [0, u_bar].  That energy bound holds for
+    any epsilon and w, so it still certifies at large c, where the upper
+    bound grows like 1/w.
     Requires epsilon > 0.
     """
     params = profile.params
@@ -564,8 +565,8 @@ def check_derivative_bounds(profile: Profile) -> BoundsCheck:
     dc_over_eps = params.delta * c / params.epsilon
     energy = math.sqrt(2.0 * params.delta * c * dissipated_energy(c))
     lower = max(-dc_over_eps * (2.0 - 3.0 * c ** (2.0 / 3.0) + c * c), -energy)
-    u_bar = solitary_amplitude(c)
-    upper = min(dc_over_eps * (c / (c - u_bar) + 0.5 * c * c), energy)
+    w = solitary_amplitude(c)[1]
+    upper = min(dc_over_eps * (c / w + 0.5 * c * c), energy)
     v_scale = float(np.max(np.abs(profile.v))) if profile.v.size else 1.0
     slack = 10.0 * (profile.options.atol + profile.options.rtol * v_scale)
     worst = float(min(np.min(profile.v - lower), np.min(upper - profile.v)))

@@ -19,14 +19,14 @@ criterion, the potential well and Lyapunov function, the closed-form
 dissipation budget, and the speed-amplitude relations.  No integration
 happens in this module.
 
-Formulas are exact for c > 1; the numerical envelope exercised by the test
-suite is c in (1, 10].  All tolerances quoted in docstrings are relative
-and fixed module-wide at REL_TOL.
+Formulas are exact for c > 1; the test suite exercises the solitary crest
+for c in (1, 20] and profiles up to c = 10.5.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -34,8 +34,6 @@ from typing import Union
 import numpy as np
 
 from .errors import RootFindError
-
-REL_TOL = 1e-12
 
 _SOLITARY_MAX_ITER = 120
 
@@ -300,50 +298,52 @@ def dissipated_energy(c: float) -> float:
     )
 
 
-def solitary_amplitude(c: float) -> float:
-    """Peak velocity u_bar of the solitary wave with speed c.
+def solitary_amplitude(c: float) -> tuple:
+    """Crest u_bar of the solitary wave with speed c, and w = c - u_bar.
 
-    u_bar is the unique zero of the potential in (u_tail, c): the level at
-    which an orbit launched from rest returns to rest.  Solved by Newton
-    iteration safeguarded by bisection on the bracket
-    (u_tail (1 + 1e-12), the largest double below c), accepted once a step
-    moves u by at most 4 eps u: g's terms are O(c**3), so no absolute bound
-    on g holds across c.  From c ~ 10.2533 on the root lies within one ulp
-    of c, so no double brackets it, and RootFindError says so.  Independent
-    of delta and epsilon.
+    u_bar is the unique zero in (u_tail, c) of the reduced potential
+    g(u) = P(u) + c log(c/w), P(u) = u**3/6 - c u**2/2 - u: the level at
+    which an orbit launched from rest returns to rest.  Its leading balance
+    c log(c/w) = -P(c) gives the seed w0 = c exp(-(c**2/3 + 1)); c - w0
+    rounds to c from c ~ 10.25 on, so u and w are carried together and w
+    keeps the digits u cannot.  g(c - w0) = P(c - w0) - P(c) > 0 for every
+    c, and g is convex on [u_tail, c), so Newton steps from w0 descend
+    monotonically onto the root; they stop at the first g <= 0 or once the
+    smaller of u and w moves by at most 4 eps of itself.  Read every
+    c/(c - u_bar) and u_bar/(c - u_bar) as c/w and u_bar/w.  Independent
+    of delta and epsilon.  RootFindError where the well depth -g(u_tail) is
+    below 4 eps u_tail, the rounding of g (c < 1 + 5e-8), or where c/w0
+    overflows (c > 46.1).
     """
     if not (c > 1.0):
         raise ValueError(f"solitary amplitude needs c > 1, got {c}")
+
+    def g(u, w):
+        return u ** 3 / 6.0 - c * u ** 2 / 2.0 - u + c * math.log1p(u / w)
+
     u_tail = 0.5 * (3.0 * c - math.sqrt(c * c + 8.0))
-    lo = u_tail * (1.0 + REL_TOL)
-    hi = math.nextafter(c, 0.0)
-
-    def g(u):
-        return float(_reduced_potential(u, c))
-
-    def dg(u):
-        return 0.5 * u * u - c * u - 1.0 + c / (c - u)
-
-    if not g(lo) < 0.0 < g(hi):
-        raise RootFindError(
-            f"solitary amplitude at c = {c} not bracketed in ({lo}, {hi}): from c ~ 10.2533 "
-            "on the crest lies within one ulp of the singular line u = c"
-        )
-    x = 0.5 * (lo + hi)
+    if not g(u_tail, c - u_tail) < -4.0 * sys.float_info.epsilon * u_tail:
+        raise RootFindError(f"at c = {c} the potential well is within the rounding of g")
+    w = c * math.exp(-(c * c / 3.0 + 1.0))
+    if not w > c / sys.float_info.max:
+        raise RootFindError(f"at c = {c} the solitary crest is too close to u = c for c/w")
+    u = c - w
     for _ in range(_SOLITARY_MAX_ITER):
-        gx = g(x)
-        if gx < 0.0:
-            lo = x
+        gu = g(u, w)
+        if gu <= 0.0:
+            return u, w
+        du = gu / (0.5 * u * u - c * u - 1.0 + c / w)
+        # Step the smaller of u and w and derive the other, so u + w = c to
+        # rounding and log1p(u/w) keeps the digits of the smaller one.
+        if u < w:
+            u -= du
+            w = c - u
         else:
-            hi = x
-        step = gx / dg(x)
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4.0 * np.finfo(float).eps * x:
-            return x_new
-        x = x_new
-    raise RootFindError(f"solitary amplitude did not converge at c = {c}: |g| = {abs(g(x))}")
+            w += du
+            u = c - w
+        if du <= 4.0 * sys.float_info.epsilon * min(u, w):
+            return u, w
+    raise RootFindError(f"solitary amplitude did not converge at c = {c}: g = {gu}")
 
 
 def speed_from_amplitude(eta_bar: float) -> float:

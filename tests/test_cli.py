@@ -176,9 +176,10 @@ def test_profile_rejects_zero_tolerance(flag, tmp_path, capsys):
 def test_profile_rejects_tail_tol_below_the_floor(tmp_path, capsys):
     # Below the roundoff floor the stopping test could never fire.
     rc = main(["profile", "--preset", "fig2", "--tail-tol", "1e-30", "--max-span", "1e7",
-               "--out-dir", str(tmp_path)])
+               "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "tail_tol must be at least 1e-13" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_profile_exhausted_span_exits_3(tmp_path, capsys):
@@ -215,9 +216,23 @@ def test_speed_amplitude_table(tmp_path, capsys):
     i = np.argmin(np.abs(rows["c"] - 1.2))
     assert rows["c"][i] == 1.2
     assert rows["eta_tail"][i] == pytest.approx(0.2817374897442327, rel=1e-12)
-    expected_bar = surface_elevation(solitary_amplitude(1.2), 1.2)
+    expected_bar = surface_elevation(solitary_amplitude(1.2)[0], 1.2)
     assert rows["eta_solitary"][i] == pytest.approx(expected_bar, rel=1e-12)
     assert np.all(rows["eta_solitary"] > rows["eta_tail"])
+
+
+def test_crest_outputs_are_finite_past_c_10(tmp_path, capsys):
+    # From c ~ 10.25 on u_bar rounds to c; eta_solitary reads u_bar / w.
+    assert main(["classify", "--c", "12", "--delta", "0.5", "--epsilon", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0.0 < report["eta_solitary"] < np.inf
+    out = tmp_path / "wide.csv"
+    assert main(["speed-amplitude", "--c-min", "1.1", "--c-max", "20", "--n", "50",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = np.genfromtxt(out, delimiter=",", names=True)
+    assert np.all(np.isfinite(rows["eta_solitary"]))
+    assert np.all(np.diff(rows["eta_solitary"]) > 0.0)
 
 
 @pytest.mark.parametrize(
@@ -341,6 +356,16 @@ def test_evolve_missing_config_file(tmp_path, capsys):
 STUDY_RUN = SMALL_RUN.replace("t_end = 6", "t_end = 4").replace(
     "snapshot_times = 0,3,6", "snapshot_times = 1,2,3,4"
 )
+
+
+def test_error_study_refusal_leaves_no_directory(tmp_path, capsys):
+    # dt 4 epsilon / (dx**2 + 4 delta) = 12.3 exceeds the RK4 damping bound.
+    conf = write_small_config(tmp_path, STUDY_RUN)
+    rc = main(["error-study", "--config", conf, "--epsilons", "500",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "RK4 damping bound" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_error_study_outputs_and_rerun_identity(tmp_path, capsys):

@@ -272,12 +272,13 @@ def test_potential_root_is_solitary_amplitude():
     for c in (1.2, 2.0, 3.5):
         params = WaveParams(c, 1.0, 0.0)
         eq = equilibria(params)
-        u_bar = solitary_amplitude(c)
+        u_bar, w = solitary_amplitude(c)
         root = bisect(
             lambda u: potential(u, params), eq.u_tail * (1 + 1e-9), c * (1 - 1e-9)
         )
         assert u_bar == pytest.approx(root, rel=1e-10)
         assert eq.u_tail < u_bar < c
+        assert w == pytest.approx(c - u_bar, rel=1e-15)
         assert abs(potential(u_bar, params)) < 1e-12 * params.delta * c
 
 
@@ -339,15 +340,15 @@ def test_speed_from_amplitude_example_point():
 
 def test_speed_amplitude_round_trip():
     c = speed_from_amplitude(0.2)
-    u_bar = solitary_amplitude(c)
-    eta_rt = surface_elevation(u_bar, c)
-    assert abs(eta_rt - 0.2) < 1e-12
+    u_bar, w = solitary_amplitude(c)
+    assert abs(u_bar / w - 0.2) < 1e-12
+    assert abs(surface_elevation(u_bar, c) - 0.2) < 1e-12
 
 
 def test_solitary_amplitude_round_trip_series_speed():
     c = 1.0925444444444445
-    eta_rt = surface_elevation(solitary_amplitude(c), c)
-    assert abs(eta_rt - 0.2) < 1e-3  # series truncation is O(eta**4)
+    u_bar, w = solitary_amplitude(c)
+    assert abs(u_bar / w - 0.2) < 1e-3  # series truncation is O(eta**4)
 
 
 def test_solitary_amplitude_rejects_subcritical():
@@ -363,24 +364,42 @@ def test_solitary_amplitude_converges_across_envelope():
     for c in np.linspace(1.2, 10.0, 40):
         c = float(c)
         params = WaveParams(c, 1.0, 0.0)
-        u_bar = solitary_amplitude(c)
+        u_bar = solitary_amplitude(c)[0]
         assert equilibria(params).u_tail < u_bar < c
         ulps = 32.0 * np.spacing(u_bar)
         above = min(u_bar + ulps, np.nextafter(c, 0.0))
         assert potential(u_bar - ulps, params) < 0.0 < potential(above, params)
 
 
-@pytest.mark.parametrize("c", [10.2534, 12.0])
-def test_solitary_crest_closer_to_c_than_the_bracket_raises(c):
-    # From c ~ 10.2533 on the crest lies within one ulp of c.
-    with pytest.raises(RootFindError, match="within one ulp of the singular line"):
-        solitary_amplitude(c)
+@pytest.mark.parametrize("c", [12.0, 15.0, 20.0])
+def test_solitary_crest_matches_its_asymptote_at_large_speed(c):
+    # c log(c/w) = c**3/3 + c to leading order; the next term is of relative
+    # order c w < 1e-19, so w is the asymptote to rounding.  u_bar rounds to c.
+    u_bar, w = solitary_amplitude(c)
+    assert w == pytest.approx(c * math.exp(-(c * c / 3.0 + 1.0)), rel=1e-14)
+    assert u_bar == c
+
+
+def test_speed_from_solitary_amplitude_round_trips_to_c():
+    for c in np.linspace(1.05, 20.0, 60):
+        u_bar, w = solitary_amplitude(float(c))
+        assert speed_from_amplitude(u_bar / w) == pytest.approx(c, rel=1e-13)
+
+
+def test_solitary_crest_refuses_where_doubles_cannot_resolve_it():
+    # c/w overflows from c ~ 46.1; below c ~ 1 + 5e-8 the well is rounding.
+    for c in (47.0, 1.0 + 1e-8):
+        with pytest.raises(RootFindError):
+            solitary_amplitude(c)
+    solitary_amplitude(46.0)
+    solitary_amplitude(1.0 + 1e-7)
 
 
 def test_tail_below_solitary_crest():
     for c in np.linspace(1.01, 1.4, 40):
         eq = equilibria(WaveParams(float(c), 1.0, 0.0))
-        eta_bar = surface_elevation(solitary_amplitude(float(c)), float(c))
+        u_bar, w = solitary_amplitude(float(c))
+        eta_bar = u_bar / w
         assert eq.eta_tail < eta_bar
 
 
