@@ -19,16 +19,22 @@ the linearized stable manifold is the standard truncation (Beyn, IMA J.
 Numer. Anal. 10, 1990).
 
 The sweep runs LSODA (Adams/BDF with automatic stiffness switching,
-Hindmarsh 1983, Petzold 1983) with the analytic Jacobian, through scipy's
-ode interface.  The exported samples lie on a uniform grid in xi: for each
-grid point the solver steps past it and returns its own interpolant there
-(ODEPACK's intdy), so the samples never set the steps.  Its first step is
+Hindmarsh 1983, Petzold 1983) with the analytic Jacobian, in one call of
+scipy's odeint over a predicted span: the time the upstream deviation
+takes to decay from u_tail to tail_tol at the tail's rate plus the time
+the seed takes to grow at |lambda_minus|, with a margin; a sweep that
+ends short of its stop reruns over twice the span.  The exported samples
+lie on a uniform grid in xi, the call's output times: the solver steps
+past each and returns its own interpolant there (ODEPACK's intdy), in
+compiled code, so the samples never set the steps.  Its first step is
 the one LSODA picks for the whole sweep, and rtol/atol alone set the rest.
-The grid spacing is tied to the slow linear rates, |lambda_minus|
-and the upstream rate, not to the fast node eigenvalue of a regularized
-tail: that one grows like 1/delta, and the backward orbit has no structure
-on its scale.  The grid supports trapezoid quadrature of the dissipation
-integral to the documented 1e-3 and robust bracketing of extrema.
+A sweep predicted to take more than MAX_PROFILE_SAMPLES samples is
+refused before it starts.  The grid spacing is tied to the slow linear
+rates, |lambda_minus| and the upstream rate, not to the fast node
+eigenvalue of a regularized tail: that one grows like 1/delta, and the
+backward orbit has no structure on its scale.  The grid supports
+trapezoid quadrature of the dissipation integral to the documented 1e-3
+and robust bracketing of extrema.
 
 The field gives the exact slope of every sampled quantity, so extrema,
 inflections and the front crossing are roots of piecewise cubic Hermite
@@ -67,6 +73,13 @@ from .waveform import (
 # keeps the trapezoid dissipation error below 1e-3 and gives at least
 # 2 pi / _STEP_FRACTION ~ 157 samples per oscillation period.
 _STEP_FRACTION = 0.04
+# The sweep's first span is this multiple of _predicted_span; a sweep that
+# ends before its stop reruns over twice the span.
+_SPAN_MARGIN = 1.2
+# integrate_profile refuses a sweep predicted to take more samples than
+# this (292 times fig6-c's 7,173), and no rerun exceeds it: the one solver
+# call allocates about 80 bytes per sample.
+MAX_PROFILE_SAMPLES = 2**21
 _CORE_FACTOR = 10.0  # extrema/inflection counting ignores the last decades of tail
 _FIT_CEILING = 1e-3  # tail fits use samples within this fraction of the jump
 
@@ -108,8 +121,9 @@ class ProfileOptions:
 class SolverRecord:
     """What the profile sweep did; written as the solver block of shape.json.
 
-    steps, rhs_evals and jac_evals are those of the sweep, rhs_evals with
-    the field evaluation that sizes its first step.
+    steps, rhs_evals and jac_evals are the work of every solver call of the
+    sweep, which runs past its last sample, rhs_evals with the field
+    evaluation that sizes its first step.
     """
 
     method: str
@@ -246,83 +260,129 @@ def _first_step(f0, y0, t_end: float, opts: ProfileOptions) -> float:
     return min(1.0 / math.sqrt(1.0 / (tol * t_end * t_end) + tol * norm**2), t_end)
 
 
-def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, opts: ProfileOptions):
+def _predicted_span(params: WaveParams, offset: float, tail_tol: float) -> float:
+    """Span in xi the sweep needs from the seed to its stop, without margin.
+
+    The seed grows from offset to the size of u_tail at the downstream rate
+    |lambda_minus|; upstream, the deviation from u_tail falls from its own
+    size to tail_tol at sigma, the real part of a spiral's pair or the slow
+    node rate of a node (the upstream energy obeys
+    dE/dxi = epsilon v**2 / (delta c), see _sweep).
+    """
+    u_tail = equilibria(params).u_tail
+    tail = tail_eigenvalues(params)
+    sigma = tail.real if isinstance(tail, ComplexConjugate) else tail.minus
+    lam_minus, _ = saddle_eigenvalues(params)
+    upstream = math.log(max(u_tail / tail_tol, 1.0)) / sigma
+    return upstream + math.log(u_tail / offset) / abs(lam_minus)
+
+
+def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, opts: ProfileOptions):
     """LSODA on the field from seed backward in xi, sampled at xi = -k * spacing.
 
-    Returns (xis, us, vs, counts): the samples as float lists in sweep
-    order, seed first, and (steps, rhs_evals, jac_evals).  Each sample is
-    one call of LSODA's itask 1: the solver steps past xi and returns its
-    own interpolant there.  The first step is the one LSODA would take
-    aimed at tout = -max_span, so the grid does not steer the solver, and
-    the per-call step cap is lifted, since one call may take many steps.
-    The counts are ODEPACK's step, field and Jacobian counters (IWORK
-    11-13), the field count plus the one evaluation that sizes the first
-    step.  The sweep stops at the first sample with
+    Returns (xi, u, v, counts): the samples as arrays in sweep order, seed
+    first, and (steps, rhs_evals, jac_evals).  One odeint call runs from the
+    seed to xi = -span, with the grid points k * spacing <= span as its
+    output times and -span as a last output time that is no sample: in
+    compiled code, the solver steps past each output time and returns its
+    own interpolant there (ODEPACK's intdy, itask 1).  Its first step is the
+    one LSODA would take aimed at -max_span and the last output time is
+    -span, so neither the grid nor its spacing steers the steps; the
+    per-call step cap is lifted.
+
+    The samples are then read in order.  The first one that is non-finite,
+    next to the singular line u = c (raising IntegrationError), or meets
+    the stop rule decides:
     (u - u_tail)**2 + v**2 / (delta c R) < tail_tol**2, R the restoring
-    coefficient: that is 2E / (delta c R), E = v**2/2 + delta c R
+    coefficient.  That is 2E / (delta c R), E = v**2/2 + delta c R
     (u - u_tail)**2/2 the Lyapunov function linearized upstream, and
     dE/dxi = epsilon v**2 / (delta c) >= 0 at a spiral and a node alike.
+    When no sample decides, the sweep reruns from the seed over twice the
+    span, the same samples first, up to max_span or MAX_PROFILE_SAMPLES
+    samples, where it raises IntegrationError.  A failed call fills no
+    rows past the failure, so its first failing output time is found by
+    bisection over prefixes of the grid, each of which repeats the same
+    steps; a sample before it may still decide, else IntegrationError
+    names it.
 
-    A negative return code, a non-finite sample, a sample next to the
-    singular line u = c, or reaching max_span before the stop raises
-    IntegrationError.  The callbacks run on floats: LSODA calls them with
-    2-vectors, where numpy's per-call cost would exceed the arithmetic.
+    The counts are ODEPACK's step, field and Jacobian counters at the last
+    output time of each call that succeeds, summed, plus the one field
+    evaluation that sizes the first step.  The callbacks run on floats:
+    LSODA calls them with 2-vectors, where numpy's per-call cost would
+    exceed the arithmetic.
     """
     # scipy is imported where it is first used, never at module level:
     # importing bore_lab or its CLI then loads no scipy module, and a
     # command pays only for the parts it runs (scipy.integrate, home of
-    # ode and its compiled LSODA, is ~2.5 MiB of resident memory alone,
+    # odeint and its compiled LSODA, is ~2.5 MiB of resident memory alone,
     # scipy.interpolate ~0.6 s of start-up).
-    from scipy.integrate import ode
+    from scipy.integrate import ODEintWarning, odeint
 
     def fun(t, y):
-        # A list: scipy's f2py ode wrappers (1.13) reject a tuple.
-        return list(vector_field(*y.tolist(), params))
+        return vector_field(*y.tolist(), params)
 
     def jac(t, y):
         return _jacobian(y.item(0), params)
 
-    y0 = np.array([seed.u, seed.v])
-    h0 = -_first_step(fun(0.0, y0), [seed.u, seed.v], opts.max_span, opts)
-    solver = ode(fun, jac).set_integrator(
-        "lsoda", rtol=opts.rtol, atol=opts.atol, first_step=h0, nsteps=2**31 - 1
-    )
-    solver.set_initial_value(y0, 0.0)
+    y0 = [seed.u, seed.v]
+    h0 = -_first_step(fun(0.0, np.array(y0)), y0, opts.max_span, opts)
+    counts = np.array([0, 1, 0])
+
+    def solve(tout):
+        """(y, message) of one call over tout; message is None on success."""
+        with warnings.catch_warnings():
+            # A failed call raises IntegrationError below; odeint's warning
+            # for it would only repeat that.
+            warnings.simplefilter("ignore", ODEintWarning)
+            y, info = odeint(fun, y0, tout, Dfun=jac, full_output=True, rtol=opts.rtol,
+                             atol=opts.atol, h0=h0, mxstep=2**31 - 1, tfirst=True)
+        if info["message"] != "Integration successful.":
+            return y, info["message"]
+        counts[:] += [info["nst"][-1], info["nfe"][-1], info["nje"][-1]]
+        return y, None
 
     u0 = equilibria(params).u_tail
     dcr = params.delta * params.c * restoring_coefficient(params.c)
     tol2 = opts.tail_tol * opts.tail_tol
-    xis, us, vs = [0.0], [seed.u], [seed.v]
-    with warnings.catch_warnings():
-        # A negative return code raises IntegrationError below; scipy's
-        # UserWarning for it would only repeat that.
-        warnings.filterwarnings("ignore", "lsoda: ", UserWarning)
-        for k in range(1, int(math.floor(opts.max_span / spacing)) + 1):
-            xi = -k * spacing
-            u, v = solver.integrate(xi).tolist()
-            code = solver.get_return_code()
-            if code < 0:
+    limit = min(opts.max_span, MAX_PROFILE_SAMPLES * spacing)
+    while True:
+        xi = -np.arange(1, int(math.floor(span / spacing)) + 1) * spacing
+        tout = np.concatenate(([0.0], xi, [-span]))
+        y, failure = solve(tout)
+        if failure is not None:
+            good, bad = 0, tout.size - 1  # tout[:good + 1] succeeds, tout[:bad + 1] fails
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                if solve(tout[: mid + 1])[1] is None:
+                    good = mid
+                else:
+                    bad = mid
+            y = y[:bad]
+        u, v = y[1 : xi.size + 1, 0], y[1 : xi.size + 1, 1]
+        non_finite = ~(np.isfinite(u) & np.isfinite(v))
+        singular = u > params.c - 1e-9 * params.c
+        decided = np.flatnonzero(non_finite | singular | ((u - u0) ** 2 + v * v / dcr < tol2))
+        if decided.size:
+            k = int(decided[0])
+            if non_finite[k]:
+                raise IntegrationError(f"non-finite state at xi = {float(xi[k])}")
+            if singular[k]:
                 raise IntegrationError(
-                    f"LSODA failed at xi = {solver.t:.6g} with return code {code}"
+                    f"orbit approached the singular line u = c at xi = {float(xi[k])}"
                 )
-            if not (math.isfinite(u) and math.isfinite(v)):
-                raise IntegrationError(f"non-finite state at xi = {xi}")
-            if u > params.c - 1e-9 * params.c:
-                raise IntegrationError(
-                    f"orbit approached the singular line u = c at xi = {xi}"
-                )
-            xis.append(xi)
-            us.append(u)
-            vs.append(v)
-            if (u - u0) ** 2 + v * v / dcr < tol2:
-                break
-        else:
+            xi = np.concatenate(([0.0], xi[: k + 1]))
+            return xi, y[: k + 2, 0], y[: k + 2, 1], counts.tolist()
+        if failure is not None:
+            raise IntegrationError(f"LSODA failed before xi = {float(tout[bad])}: {failure}")
+        if span >= limit:
+            within = (f"max_span = {opts.max_span}" if limit == opts.max_span
+                      else f"MAX_PROFILE_SAMPLES = {MAX_PROFILE_SAMPLES} samples")
+            last = (float(xi[-1]), float(u[-1])) if xi.size else (0.0, seed.u)
             raise IntegrationError(
-                f"upstream state not reached within max_span = {opts.max_span}; "
-                f"|u - u_tail| = {abs(us[-1] - u0):.3e} at xi = {xis[-1]:.1f}"
+                f"upstream state not reached within {within}; "
+                f"|u - u_tail| = {abs(last[1] - u0):.3e} at xi = {last[0]:.1f}"
             )
-    steps, rhs_evals, jac_evals = solver._integrator.iwork[10:13].tolist()
-    return xis, us, vs, (steps, rhs_evals + 1, jac_evals)
+        span = min(2.0 * span, limit)
 
 
 def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = None) -> Profile:
@@ -330,8 +390,9 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
 
     Raises ValueError for epsilon = 0 (the dissipationless system has no
     bore-type traveling wave: the orbit through the seed is homoclinic and
-    never settles on the upstream state) or a tail_tol below the roundoff
-    floor 1e-13 max(1, u_tail), and IntegrationError when the sweep
+    never settles on the upstream state), a tail_tol below the roundoff
+    floor 1e-13 max(1, u_tail), or a sweep predicted to take more than
+    MAX_PROFILE_SAMPLES samples, and IntegrationError when the sweep
     exhausts max_span, the solver breaks down, the orbit turns
     non-finite, or it strays next to the singular line u = c.
     """
@@ -349,11 +410,18 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     offset = opts.seed_offset if opts.seed_offset is not None else 1e-8 * u0
     seed = manifold_seed(params, offset)
     spacing = _STEP_FRACTION / _slow_rate(params)
-    xis, us, vs, (steps, rhs_evals, jac_evals) = _sweep(params, seed, spacing, opts)
+    span = min(_SPAN_MARGIN * _predicted_span(params, offset, opts.tail_tol), opts.max_span)
+    if span / spacing > MAX_PROFILE_SAMPLES:
+        raise ValueError(
+            f"the sweep would take about {span / spacing:.3g} samples, above the budget "
+            f"MAX_PROFILE_SAMPLES = {MAX_PROFILE_SAMPLES}; raise epsilon or tail_tol, "
+            f"or lower max_span"
+        )
+    xis, us, vs, (steps, rhs_evals, jac_evals) = _sweep(params, seed, spacing, span, opts)
 
-    xi = np.array(xis[::-1])
-    u_arr = np.array(us[::-1])
-    v_arr = np.array(vs[::-1])
+    xi = xis[::-1].copy()
+    u_arr = us[::-1].copy()
+    v_arr = vs[::-1].copy()
 
     # Normalize: xi = 0 at the rightmost crossing of u = u_tail / 2.
     du, _ = vector_field(u_arr, v_arr, params)

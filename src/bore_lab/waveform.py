@@ -36,6 +36,10 @@ import numpy as np
 from .errors import RootFindError
 
 _SOLITARY_MAX_ITER = 120
+# Below this crest elevation speed_from_amplitude sums the series of
+# ((1 + eta) log1p(eta) - eta) / eta**2; 48 terms reach rounding at 0.5.
+_SMALL_ETA = 0.5
+_SMALL_ETA_TERMS = 48
 
 
 @dataclass(frozen=True)
@@ -353,10 +357,18 @@ def speed_from_amplitude(eta_bar: float) -> float:
         / (sqrt(3 + 2 eta) eta)
     with a removable singularity at eta = 0 (limit 1).  Inputs <= 0 are
     rejected.  Agrees with the cubic expansion of speed_from_amplitude_series
-    to O(eta**4).
+    to O(eta**4).  Below eta = 0.5, where (1 + eta) log1p(eta) - eta
+    cancels, that difference is eta**2 s with the alternating series
+    s = sum_k (-eta)**k / ((k + 1)(k + 2)), and
+    c = (1 + eta) sqrt(6 s / (3 + 2 eta)): within 1.5 ulp of c there.
     """
     if not (eta_bar > 0.0):
         raise ValueError(f"crest elevation must be positive, got {eta_bar}")
+    if eta_bar < _SMALL_ETA:
+        s = 0.0
+        for k in range(_SMALL_ETA_TERMS - 1, -1, -1):
+            s = 1.0 / ((k + 1) * (k + 2)) - eta_bar * s
+        return (1.0 + eta_bar) * math.sqrt(6.0 * s / (3.0 + 2.0 * eta_bar))
     x = (1.0 + eta_bar) * math.log1p(eta_bar) - eta_bar
     return (
         math.sqrt(6.0)

@@ -182,6 +182,18 @@ def test_profile_rejects_tail_tol_below_the_floor(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_profile_over_the_sample_budget_exits_2_at_once(tmp_path, capsys):
+    # The spiral decays at epsilon / (2 delta c) ~ 2e-4, so the sweep would
+    # take about 4.4e6 samples; it is refused before the solver runs.
+    start = time.perf_counter()
+    rc = main(["profile", "--c", "1.3", "--delta", "0.2", "--epsilon", "1e-4",
+               "--max-span", "1e6", "--out-dir", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "MAX_PROFILE_SAMPLES = 2097152" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_profile_exhausted_span_exits_3(tmp_path, capsys):
     rc = main(["profile", "--preset", "fig2", "--max-span", "5",
                "--out-dir", str(tmp_path)])

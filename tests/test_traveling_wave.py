@@ -212,9 +212,9 @@ def test_orbit_at_the_singular_line_fails_at_once(monkeypatch):
 
 
 def test_solver_failure_is_an_integration_error():
-    # Tolerances far below the unit roundoff: LSODA returns a negative
-    # code at once, and scipy's warning for it does not escape.
-    with pytest.raises(IntegrationError, match=r"return code -\d"):
+    # Tolerances far below the unit roundoff: LSODA refuses them as illegal
+    # input at once, and odeint's warning for it does not escape.
+    with pytest.raises(IntegrationError, match=r"LSODA failed before xi = -0\.\d+: Illegal input"):
         integrate_profile(MONO, ProfileOptions(rtol=1e-20, atol=1e-30))
 
 
@@ -523,8 +523,11 @@ def test_regime_flip_across_damping_threshold():
     assert len(below.maxima) >= 1
 
 
-@pytest.mark.parametrize("c, delta, fraction", [(1.05, 0.4, 0.99), (2.0, 0.05, 0.9999),
-                                                (5.0, 2.0, 0.99)])
+# (c, delta, epsilon / epsilon*) just below the damping threshold epsilon*.
+NEAR_THRESHOLD = [(1.05, 0.4, 0.99), (2.0, 0.05, 0.9999), (5.0, 2.0, 0.99)]
+
+
+@pytest.mark.parametrize("c, delta, fraction", NEAR_THRESHOLD)
 def test_sweep_ends_just_below_the_damping_threshold(c, delta, fraction):
     params = WaveParams(c, delta, fraction * critical_epsilon(c, delta))
     profile = integrate_profile(params)
@@ -625,6 +628,179 @@ def test_solver_record_describes_the_samples(mono_profile, osc_profile, monkeypa
         again = integrate_profile(params)
         assert again.solver == profile.solver
         assert len(calls) == again.solver.rhs_evals + 1
+
+
+# ---------------------------------------------------------------------------
+# the one-call sweep against the per-sample loop it replaced
+
+
+def per_sample_sweep(params, seed, spacing, opts):
+    """Reference: one scipy ode call per sample, stopping at the first one
+    that meets the sweep's stop rule.
+
+    Returns (xi, u, v, counts): the samples in sweep order, seed first, and
+    ODEPACK's step, field (plus the first-step sizing) and Jacobian
+    counters at the stop.
+    """
+    from scipy.integrate import ode
+
+    def fun(t, y):
+        return list(vector_field(*y.tolist(), params))
+
+    def jac(t, y):
+        return traveling_wave._jacobian(y.item(0), params)
+
+    y0 = np.array([seed.u, seed.v])
+    h0 = -traveling_wave._first_step(fun(0.0, y0), [seed.u, seed.v], opts.max_span, opts)
+    solver = ode(fun, jac).set_integrator(
+        "lsoda", rtol=opts.rtol, atol=opts.atol, first_step=h0, nsteps=2**31 - 1
+    )
+    solver.set_initial_value(y0, 0.0)
+    u0 = equilibria(params).u_tail
+    dcr = params.delta * params.c * restoring_coefficient(params.c)
+    xis, us, vs = [0.0], [seed.u], [seed.v]
+    for k in range(1, int(math.floor(opts.max_span / spacing)) + 1):
+        xi = -k * spacing
+        u, v = solver.integrate(xi).tolist()
+        assert solver.get_return_code() > 0
+        xis.append(xi)
+        us.append(u)
+        vs.append(v)
+        if (u - u0) ** 2 + v * v / dcr < opts.tail_tol**2:
+            break
+    steps, rhs_evals, jac_evals = solver._integrator.iwork[10:13].tolist()
+    return np.array(xis), np.array(us), np.array(vs), (steps, rhs_evals + 1, jac_evals)
+
+
+def sweep_inputs(params, opts):
+    """(seed, spacing, span) as integrate_profile hands them to _sweep."""
+    offset = 1e-8 * equilibria(params).u_tail
+    spacing = traveling_wave._STEP_FRACTION / traveling_wave._slow_rate(params)
+    predicted = traveling_wave._predicted_span(params, offset, opts.tail_tol)
+    span = min(traveling_wave._SPAN_MARGIN * predicted, opts.max_span)
+    return manifold_seed(params, offset), spacing, span
+
+
+@pytest.mark.parametrize("params", [MONO, OSC, WaveParams(5.0, 0.5, 1.0)],
+                         ids=["mono", "osc", "large-c"])
+def test_one_call_sweep_equals_the_per_sample_loop(params, monkeypatch):
+    # Same LSODA, same first step, same tolerances and Jacobian: the samples
+    # agree bitwise, and so do the counters of the one call at the stop.
+    import scipy.integrate
+
+    opts = ProfileOptions()
+    seed, spacing, span = sweep_inputs(params, opts)
+    odeint, infos = scipy.integrate.odeint, []
+
+    def recorded(*args, **kwargs):
+        y, info = odeint(*args, **kwargs)
+        infos.append(info)
+        return y, info
+
+    monkeypatch.setattr(scipy.integrate, "odeint", recorded)
+    xi, u, v, _ = traveling_wave._sweep(params, seed, spacing, span, opts)
+    ref_xi, ref_u, ref_v, ref_counts = per_sample_sweep(params, seed, spacing, opts)
+    assert len(infos) == 1
+    assert np.array_equal(xi, ref_xi)
+    assert np.array_equal(u, ref_u)
+    assert np.array_equal(v, ref_v)
+    # Row i of odeint's counters belongs to output time i + 1; the stop
+    # sample is output time xi.size - 1.
+    stop = xi.size - 2
+    info = infos[0]
+    assert (info["nst"][stop], info["nfe"][stop] + 1, info["nje"][stop]) == ref_counts
+
+
+def test_rerun_from_a_short_span_gives_the_same_profile(mono_profile, monkeypatch):
+    # Half the predicted span ends before the stop; the reruns from the seed
+    # sample the same orbit and only add work.
+    monkeypatch.setattr(traveling_wave, "_SPAN_MARGIN", 0.5)
+    rerun = integrate_profile(MONO)
+    for name in ("xi", "u", "v", "eta"):
+        assert np.array_equal(getattr(rerun, name), getattr(mono_profile, name))
+    assert rerun.solver.samples == mono_profile.solver.samples
+    assert rerun.solver.steps > mono_profile.solver.steps
+
+
+def fail_from(fail_at, monkeypatch):
+    """Make odeint fail at output time fail_at of any longer grid, its rows
+    from there on holding a state that would meet the stop rule."""
+    import scipy.integrate
+
+    odeint = scipy.integrate.odeint
+
+    def failing(func, y0, t, **kwargs):
+        y, info = odeint(func, y0, t, **kwargs)
+        if len(t) > fail_at:
+            y[fail_at:] = [equilibria(MONO).u_tail, 0.0]
+            info["message"] = "Repeated error test failures (internal error)."
+        return y, info
+
+    monkeypatch.setattr(scipy.integrate, "odeint", failing)
+
+
+def test_solver_failure_past_the_stop_leaves_the_profile(mono_profile, monkeypatch):
+    fail_from(mono_profile.solver.samples + 50, monkeypatch)
+    profile = integrate_profile(MONO)
+    for name in ("xi", "u", "v"):
+        assert np.array_equal(getattr(profile, name), getattr(mono_profile, name))
+
+
+def test_solver_failure_before_the_stop_names_its_sample(monkeypatch):
+    # The rows from the failure on are never read: their state would stop
+    # the sweep.
+    fail_from(20, monkeypatch)
+    spacing = traveling_wave._STEP_FRACTION / traveling_wave._slow_rate(MONO)
+    with pytest.raises(IntegrationError, match="Repeated error test failures") as info:
+        integrate_profile(MONO)
+    assert f"before xi = {-20 * spacing}:" in str(info.value)
+
+
+def test_reruns_stay_within_the_sample_budget(monkeypatch):
+    import scipy.integrate
+
+    odeint, grids = scipy.integrate.odeint, []
+
+    def recorded(func, y0, t, **kwargs):
+        grids.append(len(t))
+        return odeint(func, y0, t, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "odeint", recorded)
+    monkeypatch.setattr(traveling_wave, "_SPAN_MARGIN", 0.05)
+    monkeypatch.setattr(traveling_wave, "MAX_PROFILE_SAMPLES", 200)
+    with pytest.raises(IntegrationError, match="MAX_PROFILE_SAMPLES = 200 samples"):
+        integrate_profile(MONO)
+    # Seed, samples and the last output time.
+    assert len(grids) > 1 and max(grids) <= 200 + 2
+
+
+NEAR_THRESHOLD_TRIPLES = [
+    pytest.param(WaveParams(1.3, 0.2, fraction * critical_epsilon(1.3, 0.2)),
+                 id=f"1.3-0.2-{fraction}") for fraction in (0.85, 1.15)
+] + [
+    pytest.param(WaveParams(c, delta, fraction * critical_epsilon(c, delta)),
+                 id=f"{c}-{delta}-{fraction}") for c, delta, fraction in NEAR_THRESHOLD
+]
+
+
+@pytest.mark.parametrize("params", TAIL_TRIPLES + NEAR_THRESHOLD_TRIPLES)
+def test_predicted_span_matches_the_sweep(params):
+    # The closed-form span, before its margin, is what the sample budget
+    # and the sweep's first call rely on.
+    profile = integrate_profile(params)
+    spacing = traveling_wave._STEP_FRACTION / traveling_wave._slow_rate(params)
+    predicted = traveling_wave._predicted_span(params, profile.seed_offset,
+                                               profile.options.tail_tol) / spacing
+    assert 0.8 <= profile.solver.samples / predicted <= 1.2
+
+
+def test_sweep_over_the_sample_budget_is_refused():
+    # The spiral decays at epsilon / (2 delta c) ~ 2e-4: millions of samples.
+    with pytest.raises(ValueError, match="MAX_PROFILE_SAMPLES = 2097152"):
+        integrate_profile(WaveParams(1.3, 0.2, 1e-4), ProfileOptions(max_span=1e6))
+    # max_span bounds the sweep before the budget does.
+    with pytest.raises(IntegrationError, match="max_span = 2000"):
+        integrate_profile(WaveParams(1.3, 0.2, 1e-4))
 
 
 def test_profile_csv_round_trip(tmp_path, mono_profile):

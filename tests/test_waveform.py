@@ -338,6 +338,28 @@ def test_speed_from_amplitude_example_point():
         speed_from_amplitude(-0.1)
 
 
+# c at crest elevation eta, rounded from a 60-digit evaluation of the closed
+# form (mpmath); the closed form in doubles cancels as eta -> 0.
+SMALL_AMPLITUDE_SPEEDS = [
+    (1e-1, 1.04802039456149081664338),
+    (1e-2, 1.004979275756756439220989),
+    (1e-4, 1.00004999791677638253172),
+    (1e-6, 1.000000499999791666776366),
+    (1e-8, 1.000000004999999979166667),
+    (1e-12, 1.0000000000005),
+]
+
+
+@pytest.mark.parametrize("eta, c_ref", SMALL_AMPLITUDE_SPEEDS)
+def test_speed_from_amplitude_keeps_its_digits_at_small_amplitude(eta, c_ref):
+    assert abs(speed_from_amplitude(eta) - c_ref) <= 4.5e-16
+
+
+def test_speed_from_amplitude_is_continuous_at_the_series_cutoff():
+    below = speed_from_amplitude(math.nextafter(0.5, 0.0))
+    assert abs(below - speed_from_amplitude(0.5)) <= 4.0 * math.ulp(below)
+
+
 def test_speed_amplitude_round_trip():
     c = speed_from_amplitude(0.2)
     u_bar, w = solitary_amplitude(c)
