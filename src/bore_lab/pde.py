@@ -9,12 +9,17 @@ restriction is advective.
 
 Each RK4 stage evaluates the rate in one pass over a workspace cached per
 (grid, batch shape).  A padded (3, ..., n + 4) buffer holds the rows
-(-1 - eta) u, u and eta, two ghost cells at each end; the stage input is
-written into its interior, one five-point stencil pass gives the three
+(-1 - eta) u, eta and u, two ghost cells at each end, mirrored with the
+signs -1, +1, -1 at reflective walls.  The stage input y + h k is written
+into the interior of the adjacent (eta, u) rows with one multiply and one
+add over the (2, ...) block; one five-point stencil pass gives the three
 first differences into that stage's (3, ..., n) rate buffer, and the
-second difference of u is read from the same padded row.  Row 0 of the
-rate buffer ends as eta_t; row 1 is built into the momentum forcing and
-solved in place to u_t; row 2 is scratch.
+second difference of u is read from the same padded row.  The stencils
+scale by the reciprocals 1/(12 dx) and 1/dx**2, so no pass divides.  Row 0
+of the rate buffer ends as eta_t; row 1 is built into the momentum forcing
+D1 eta + u D1 u and becomes epsilon D2 u - forcing in one subtraction
+(negated in a pass of its own only where epsilon is 0 in every row), then
+is solved in place to u_t; row 2 is scratch.
 
 A first-order finite-volume solver for the dispersionless shallow-water
 reduction lives here as well, used as the classical-shock reference.
@@ -187,7 +192,7 @@ def _d1(p: np.ndarray, dx: float, out=None) -> np.ndarray:
     d *= 8.0
     d += p[..., 0:n]
     d -= p[..., 4:]
-    d /= 12.0 * dx
+    d *= 1.0 / (12.0 * dx)
     return d
 
 
@@ -196,7 +201,7 @@ def _d2(p: np.ndarray, dx: float, out=None, scratch=None) -> np.ndarray:
     n = p.shape[-1] - 4
     d = np.add(p[..., 1 : n + 1], p[..., 3 : n + 3], out=out)
     d -= np.multiply(p[..., 2 : n + 2], 2.0, out=scratch)
-    d /= dx * dx
+    d *= 1.0 / (dx * dx)
     return d
 
 
@@ -293,32 +298,35 @@ class _Stage:
     def __init__(self, grid: Grid, shape: Tuple[int, ...]):
         self.grid = grid
         lead = shape[:-1]
-        # Rows (-1 - eta) u, u, eta with two ghost cells at each end.
+        # Rows (-1 - eta) u, eta, u with two ghost cells at each end; the
+        # stage input (eta, u) is the interior of the last two.
         self.pad = np.empty((3,) + lead + (grid.n + 4,))
-        self.u = self.pad[1, ..., 2:-2]
-        self.eta = self.pad[2, ..., 2:-2]
+        self.y = self.pad[1:, ..., 2:-2]
+        self.eta, self.u = self.y
         # One (3, ...) rate buffer per RK4 stage: eta_t, u_t, scratch.
         self.k = tuple(np.empty((3,) + shape) for _ in range(4))
         # Mirror sign of each row at reflective walls: u is odd, eta even.
-        self.parity = np.array([-1.0, -1.0, 1.0]).reshape((3,) + (1,) * len(shape))
+        self.parity = np.array([-1.0, 1.0, -1.0]).reshape((3,) + (1,) * len(shape))
 
     def rate(self, k: np.ndarray, delta: float, epsilon, dissipative: bool) -> None:
-        """Rates of the state in the buffer interior into k[0] (eta_t) and k[1] (u_t)."""
+        """Rates of the state in self.y into k[0] (eta_t) and k[1] (u_t)."""
         grid, p = self.grid, self.pad
         flux = p[0, ..., 2:-2]
         np.subtract(-1.0, self.eta, out=flux)
         flux *= self.u
         _fill_ghosts(p, grid, self.parity)
         _d1(p, grid.dx, out=k)
+        # The forcing D1 eta + u D1 u, built in place in k[1].
         forcing = k[1]
-        forcing *= self.u
+        k[2] *= self.u
         forcing += k[2]
-        np.negative(forcing, out=forcing)
         if dissipative:
             # Second difference of u into the spent rows: k[2] and the flux.
-            d2 = _d2(p[1], grid.dx, out=k[2], scratch=flux)
+            d2 = _d2(p[2], grid.dx, out=k[2], scratch=flux)
             d2 *= epsilon
-            forcing += d2
+            np.subtract(d2, forcing, out=forcing)
+        else:
+            np.negative(forcing, out=forcing)
         if delta != 0.0:
             _helmholtz(delta, grid).solve(forcing, scratch=k[2])
 
@@ -437,37 +445,34 @@ def cfl_bound(state: FieldPair, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 # time stepping
 
-def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> FieldPair:
+def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> np.ndarray:
+    """The (2, ...) block (eta, u) one RK4 step after state, in a fresh array."""
     grid, dt = config.grid, config.dt
-    eta, u = state.eta, state.u
-    stage = _stage(grid, eta.shape)
+    y = np.stack((state.eta, state.u))
+    stage = _stage(grid, state.eta.shape)
     k1, k2, k3, k4 = stage.k
     args = (config.delta, epsilon, bool(np.any(epsilon != 0.0)))
-    stage.eta[...] = eta
-    stage.u[...] = u
+    stage.y[...] = y
     stage.rate(k1, *args)
     for k, prev, h in ((k2, k1, 0.5 * dt), (k3, k2, 0.5 * dt), (k4, k3, dt)):
         # Stage input y + h * prev, written straight into the buffer.
-        np.multiply(prev[0], h, out=stage.eta)
-        stage.eta += eta
-        np.multiply(prev[1], h, out=stage.u)
-        stage.u += u
+        np.multiply(prev[:2], h, out=stage.y)
+        stage.y += y
         stage.rate(k, *args)
-    # Sum k1 + 2 k2 + 2 k3 + k4 into k2 in place, then add it to the state
-    # in fresh arrays: the returned state never aliases the workspace.
+    # Sum k1 + 2 k2 + 2 k3 + k4 into k2 in place, then add it to y, the
+    # stacked copy of the state: the result never aliases the workspace.
     k1, k2, k3, k4 = k1[:2], k2[:2], k3[:2], k4[:2]
     k2 += k3
     k2 *= 2.0
     k2 += k1
     k2 += k4
     k2 *= dt / 6.0
-    out = np.empty(k2.shape)
-    np.add(k2[0], eta, out=out[0])
-    np.add(k2[1], u, out=out[1])
-    return FieldPair(out[0], out[1], state.t + dt)
+    y += k2
+    return y
 
 
-def _rusanov_step(state: FieldPair, config: RunConfig) -> FieldPair:
+def _rusanov_step(state: FieldPair, config: RunConfig) -> np.ndarray:
+    """The (2, n) block (eta, u) one Rusanov step after state."""
     grid, dt = config.grid, config.dt
     eta, u = state.eta, state.u
     n = grid.n
@@ -500,32 +505,33 @@ def _rusanov_step(state: FieldPair, config: RunConfig) -> FieldPair:
     # Per cell: the flux difference, scaled by dt / dx.
     d = np.subtract(flux[:, 1:], flux[:, :-1], out=jump[:, :n])
     d *= dt / grid.dx
-    out = np.subtract(q[:, 1:-1], d)
-    return FieldPair(out[0], out[1], state.t + dt)
+    return np.subtract(q[:, 1:-1], d)
 
 
-def _checked(out: FieldPair, config: RunConfig) -> FieldPair:
-    """out, once checked finite, then 1 + eta > 0, then dt within cfl_bound."""
-    u_hi, u_lo = np.max(out.u), np.min(out.u)
-    eta_hi, eta_lo = np.max(out.eta), np.min(out.eta)
+def _checked(y: np.ndarray, t: float, config: RunConfig) -> FieldPair:
+    """The state (eta, u) = y, a (2, ...) block, at t, once checked finite,
+    then 1 + eta > 0, then dt within cfl_bound."""
+    axes = tuple(range(1, y.ndim))
+    (eta_hi, u_hi), (eta_lo, u_lo) = np.max(y, axis=axes), np.min(y, axis=axes)
     # NaN reaches every extreme, +inf a max, -inf a min.
     if not all(map(math.isfinite, (u_hi, u_lo, eta_hi, eta_lo))):
-        raise NumericsError(f"non-finite field values at t = {out.t:.6g}")
+        raise NumericsError(f"non-finite field values at t = {t:.6g}")
     if eta_lo <= -1.0:
-        raise NumericsError(f"vacuum state: 1 + eta reached zero at t = {out.t:.6g}")
+        raise NumericsError(f"vacuum state: 1 + eta reached zero at t = {t:.6g}")
     bound = _advective_bound(max(u_hi, -u_lo), eta_hi, config.grid.dx)
     if bound < config.dt:
         raise NumericsError(
-            f"advective bound {bound:.6g} fell below dt = {config.dt} at t = {out.t:.6g}"
+            f"advective bound {bound:.6g} fell below dt = {config.dt} at t = {t:.6g}"
         )
-    return out
+    return FieldPair(y[0], y[1], t)
 
 
 def step(state: FieldPair, config: RunConfig) -> FieldPair:
     """Advance one dt; NumericsError unless the new state passes _checked."""
+    t = state.t + config.dt
     if config.system is SystemKind.SHALLOW_WATER:
-        return _checked(_rusanov_step(state, config), config)
-    return _checked(_rk4_step(state, config, config.epsilon), config)
+        return _checked(_rusanov_step(state, config), t, config)
+    return _checked(_rk4_step(state, config, config.epsilon), t, config)
 
 
 def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[FieldPair]:
@@ -556,7 +562,7 @@ def _march(state: FieldPair, config: RunConfig, advance: Callable) -> List[Field
     for pos, k in enumerate(targets):
         wanted.setdefault(k, []).append(pos)
     snapshots: List[Optional[FieldPair]] = [None] * len(targets)
-    _checked(state, config)
+    _checked(np.stack((state.eta, state.u)), state.t, config)
     for pos in wanted.get(0, []):
         snapshots[pos] = state.copy()
     for k in range(1, n_total + 1):
@@ -647,7 +653,9 @@ def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudy
     batch = FieldPair(np.tile(init.eta, (runs, 1)), np.tile(init.u, (runs, 1)))
     column = np.array([0.0] + [float(e) for e in epsilons])[:, None]
     snapshots = _march(
-        batch, base_config, lambda s: _checked(_rk4_step(s, base_config, column), base_config)
+        batch,
+        base_config,
+        lambda s: _checked(_rk4_step(s, base_config, column), s.t + base_config.dt, base_config),
     )
     reference, *dissipative = (
         [FieldPair(s.eta[r], s.u[r], s.t) for s in snapshots] for r in range(runs)

@@ -28,11 +28,12 @@ lie on a uniform grid in xi, the call's output times: the solver steps
 past each and returns its own interpolant there (ODEPACK's intdy), in
 compiled code, so the samples never set the steps.  Its first step is
 the one LSODA picks for the whole sweep, and rtol/atol alone set the rest.
-A sweep predicted to take more than MAX_PROFILE_SAMPLES samples is
-refused before it starts.  The grid spacing is tied to the slow linear
-rates, |lambda_minus| and the upstream rate, not to the fast node
-eigenvalue of a regularized tail: that one grows like 1/delta, and the
-backward orbit has no structure on its scale.  The grid supports
+A sweep predicted to take more than MAX_PROFILE_SAMPLES samples, or a
+span over _OVERRUN_FACTOR times max_span, is refused before it starts.
+The grid spacing is tied to the slow linear rates, |lambda_minus| and
+the upstream rate, not to the fast node eigenvalue of a regularized
+tail: that one grows like 1/delta, and the backward orbit has no
+structure on its scale.  The grid supports
 trapezoid quadrature of the dissipation integral to the documented 1e-3
 and robust bracketing of extrema.
 
@@ -76,6 +77,10 @@ _STEP_FRACTION = 0.04
 # The sweep's first span is this multiple of _predicted_span; a sweep that
 # ends before its stop reruns over twice the span.
 _SPAN_MARGIN = 1.2
+# integrate_profile raises at once when the predicted span, before its
+# margin, is over this multiple of max_span: the sweep's span lies within
+# 0.8 to 1.2 times the prediction, so it would end on max_span anyway.
+_OVERRUN_FACTOR = 2.0
 # integrate_profile refuses a sweep predicted to take more samples than
 # this (292 times fig6-c's 7,173), and no rerun exceeds it: the one solver
 # call allocates about 80 bytes per sample.
@@ -392,9 +397,10 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     bore-type traveling wave: the orbit through the seed is homoclinic and
     never settles on the upstream state), a tail_tol below the roundoff
     floor 1e-13 max(1, u_tail), or a sweep predicted to take more than
-    MAX_PROFILE_SAMPLES samples, and IntegrationError when the sweep
-    exhausts max_span, the solver breaks down, the orbit turns
-    non-finite, or it strays next to the singular line u = c.
+    MAX_PROFILE_SAMPLES samples, and IntegrationError when the sweep is
+    predicted to need over _OVERRUN_FACTOR times max_span or exhausts it,
+    the solver breaks down, the orbit turns non-finite, or it strays next
+    to the singular line u = c.
     """
     if params.epsilon <= 0.0:
         raise ValueError(
@@ -410,12 +416,18 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     offset = opts.seed_offset if opts.seed_offset is not None else 1e-8 * u0
     seed = manifold_seed(params, offset)
     spacing = _STEP_FRACTION / _slow_rate(params)
-    span = min(_SPAN_MARGIN * _predicted_span(params, offset, opts.tail_tol), opts.max_span)
+    predicted = _predicted_span(params, offset, opts.tail_tol)
+    span = min(_SPAN_MARGIN * predicted, opts.max_span)
     if span / spacing > MAX_PROFILE_SAMPLES:
         raise ValueError(
             f"the sweep would take about {span / spacing:.3g} samples, above the budget "
             f"MAX_PROFILE_SAMPLES = {MAX_PROFILE_SAMPLES}; raise epsilon or tail_tol, "
             f"or lower max_span"
+        )
+    if predicted > _OVERRUN_FACTOR * opts.max_span:
+        raise IntegrationError(
+            f"upstream state not reached within max_span = {opts.max_span}: the sweep "
+            f"is predicted to need a span of about {predicted:.3g}"
         )
     xis, us, vs, (steps, rhs_evals, jac_evals) = _sweep(params, seed, spacing, span, opts)
 

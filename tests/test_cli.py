@@ -299,12 +299,19 @@ def test_evolve_reference_runs_shallow_water(tmp_path, capsys):
 
 
 def test_evolve_is_byte_deterministic(tmp_path, capsys):
+    # Every file of a rerun, the shallow-water reference's included.
     conf = write_small_config(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["evolve", "--config", conf, "--out-dir", str(a)]) == 0
-    assert main(["evolve", "--config", conf, "--out-dir", str(b)]) == 0
+    for out in (a, b):
+        assert main(["evolve", "--config", conf, "--out-dir", str(out),
+                     "--reference", "shallow-water"]) == 0
     capsys.readouterr()
-    assert (a / "snapshot_002.csv").read_bytes() == (b / "snapshot_002.csv").read_bytes()
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert {"plot.gp", "snapshot_002.csv", "snapshot_002.json",
+            "reference_002.csv", "reference_002.json"} <= set(names)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_evolve_horizon_check(tmp_path, capsys):

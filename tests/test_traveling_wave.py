@@ -7,6 +7,7 @@ oscillatory one (c = 2, delta = 0.5, epsilon = 0.3, well below it).
 
 import json
 import math
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -801,6 +802,21 @@ def test_sweep_over_the_sample_budget_is_refused():
     # max_span bounds the sweep before the budget does.
     with pytest.raises(IntegrationError, match="max_span = 2000"):
         integrate_profile(WaveParams(1.3, 0.2, 1e-4))
+
+
+def test_sweep_predicted_to_overrun_max_span_fails_at_once(monkeypatch):
+    # The predicted span, about 91,000, is 45 times the default max_span:
+    # the sweep is refused before the solver runs, not after 80k samples.
+    import scipy.integrate
+
+    def refused(*args, **kwargs):
+        raise AssertionError("odeint called")
+
+    monkeypatch.setattr(scipy.integrate, "odeint", refused)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match=r"max_span = 2000\.0: .* about 9\.1e\+04"):
+        integrate_profile(WaveParams(1.3, 0.2, 1e-4))
+    assert time.perf_counter() - start < 0.05
 
 
 def test_profile_csv_round_trip(tmp_path, mono_profile):
