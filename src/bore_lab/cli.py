@@ -200,17 +200,17 @@ def _evolve_plot(n_snapshots: int, prefix: str) -> str:
 def cmd_evolve(args) -> int:
     config = _load_run_config(args.config)
     snapshots = evolve(config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, snap in enumerate(snapshots):
-        write_snapshot_csv(snap, config.grid, out_dir / f"snapshot_{i:03d}.csv")
-        write_snapshot_manifest(config, snap, out_dir / f"snapshot_{i:03d}.json")
-    (out_dir / "plot.gp").write_text(_evolve_plot(len(snapshots), "snapshot"))
+    runs = [("snapshot", config, snapshots)]
     if args.reference is not None:
         ref_config = replace(config, system=SystemKind.SHALLOW_WATER, delta=0.0, epsilon=0.0)
-        for i, snap in enumerate(evolve(ref_config)):
-            write_snapshot_csv(snap, config.grid, out_dir / f"reference_{i:03d}.csv")
-            write_snapshot_manifest(ref_config, snap, out_dir / f"reference_{i:03d}.json")
+        runs.append(("reference", ref_config, evolve(ref_config)))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for prefix, run_config, snaps in runs:
+        for i, snap in enumerate(snaps):
+            write_snapshot_csv(snap, config.grid, out_dir / f"{prefix}_{i:03d}.csv")
+            write_snapshot_manifest(run_config, snap, out_dir / f"{prefix}_{i:03d}.json")
+    (out_dir / "plot.gp").write_text(_evolve_plot(len(snapshots), "snapshot"))
     print(f"wrote {len(snapshots)} snapshots to {out_dir}")
     return 0
 
@@ -221,8 +221,6 @@ def cmd_error_study(args) -> int:
         epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad epsilon list: {args.epsilons!r}") from None
-    if not epsilons:
-        raise ConfigError("epsilon list is empty")
     result = error_study(config, epsilons)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

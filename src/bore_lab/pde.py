@@ -21,6 +21,10 @@ D1 eta + u D1 u and becomes epsilon D2 u - forcing in one subtraction
 (negated in a pass of its own only where epsilon is 0 in every row), then
 is solved in place to u_t; row 2 is scratch.
 
+Every run is one evolve call stepping through step once per dt.  A tuple
+epsilon makes a batch: one row per value, sharing grid, step and initial
+data, stepped together with epsilon as an (m, 1) column (error_study).
+
 A first-order finite-volume solver for the dispersionless shallow-water
 reduction lives here as well, used as the classical-shock reference.
 """
@@ -28,10 +32,10 @@ reduction lives here as well, used as the classical-shock reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -366,29 +370,37 @@ def semidiscrete_rhs_peregrine(
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A PDE run; a tuple epsilon (peregrine-dissipative only) is a batch, one row each."""
+
     system: SystemKind
     grid: Grid
     ic: InitialCondition
     dt: float
     t_end: float
     delta: float = 0.0
-    epsilon: float = 0.0
+    epsilon: Union[float, Tuple[float, ...]] = 0.0
     snapshot_times: Tuple[float, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "system", SystemKind(self.system))
         object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
+        batch = isinstance(self.epsilon, tuple)
+        epsilons = self.epsilon if batch else (self.epsilon,)
         if not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not all(map(math.isfinite, (self.delta, self.epsilon, self.t_end))):
+        if not epsilons:
+            raise ConfigError("an epsilon tuple needs one value per batch row, got none")
+        if not all(map(math.isfinite, (self.delta, *epsilons, self.t_end))):
             raise ConfigError(
                 f"delta, epsilon and t_end must be finite, got "
                 f"({self.delta}, {self.epsilon}, {self.t_end})"
             )
         if self.t_end < 0.0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
-        if self.delta < 0.0 or self.epsilon < 0.0:
+        if self.delta < 0.0 or min(epsilons) < 0.0:
             raise ConfigError("delta and epsilon must be >= 0")
+        if batch and self.system is not SystemKind.PEREGRINE_DISSIPATIVE:
+            raise ConfigError("a batch of epsilons needs the peregrine-dissipative system")
         if self.system is SystemKind.PEREGRINE_INVISCID and self.epsilon != 0.0:
             raise ConfigError("the inviscid system has epsilon = 0 by definition")
         if self.system is SystemKind.SHALLOW_WATER and (
@@ -404,7 +416,7 @@ class RunConfig:
             raise ConfigError(
                 f"dt = {self.dt} violates the advective bound {bound:.6g}"
             )
-        _check_work(self, self.epsilon, 1)
+        _check_work(self, max(epsilons), len(epsilons))
 
 
 def _check_work(config: RunConfig, epsilon: float, rows: int) -> None:
@@ -531,7 +543,10 @@ def step(state: FieldPair, config: RunConfig) -> FieldPair:
     t = state.t + config.dt
     if config.system is SystemKind.SHALLOW_WATER:
         return _checked(_rusanov_step(state, config), t, config)
-    return _checked(_rk4_step(state, config, config.epsilon), t, config)
+    epsilon = config.epsilon
+    if isinstance(epsilon, tuple):
+        epsilon = np.array(epsilon)[:, None]
+    return _checked(_rk4_step(state, config, epsilon), t, config)
 
 
 def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[FieldPair]:
@@ -539,22 +554,19 @@ def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[Field
 
     Each requested time is mapped to the nearest whole step; with no
     requested times the final state alone is returned.  Deterministic:
-    the same config always produces bit-identical snapshots.  initial
-    replaces the configured initial condition (used to seed a run with an
-    interpolated traveling-wave profile).
+    the same config always produces bit-identical snapshots, (rows, n) for
+    a batch config.  initial, shaped as the run, replaces the configured
+    initial condition (used to seed a run with a traveling-wave profile).
     """
+    n = config.grid.n
+    shape = (len(config.epsilon), n) if isinstance(config.epsilon, tuple) else (n,)
     if initial is None:
-        state = make_initial(config.ic, config.grid)
+        init = make_initial(config.ic, config.grid)
+        state = FieldPair(np.broadcast_to(init.eta, shape), np.broadcast_to(init.u, shape))
     else:
-        if initial.eta.size != config.grid.n:
-            raise ValueError("initial state does not match the grid")
-        state = initial.copy()
-        state.t = 0.0
-    return _march(state, config, lambda s: step(s, config))
-
-
-def _march(state: FieldPair, config: RunConfig, advance: Callable) -> List[FieldPair]:
-    """Check state, then apply advance up to t_end; copies at the snapshot steps."""
+        if initial.eta.shape != shape:
+            raise ValueError(f"initial state has shape {initial.eta.shape}, the run {shape}")
+        state = FieldPair(initial.eta, initial.u, 0.0)
     n_total = int(round(config.t_end / config.dt))
     requested = config.snapshot_times or (config.t_end,)
     targets = [min(max(int(round(ts / config.dt)), 0), n_total) for ts in requested]
@@ -566,7 +578,7 @@ def _march(state: FieldPair, config: RunConfig, advance: Callable) -> List[Field
     for pos in wanted.get(0, []):
         snapshots[pos] = state.copy()
     for k in range(1, n_total + 1):
-        state = advance(state)
+        state = step(state, config)
         for pos in wanted.get(k, []):
             snapshots[pos] = state.copy()
     return snapshots
@@ -631,12 +643,11 @@ class ErrorStudyResult:
 def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudyResult:
     """Deviation of dissipative runs from the epsilon = 0 run.
 
-    All runs share the grid, step, and initial data of base_config; only
-    epsilon varies, so they advance together as the rows of one batch,
-    row 0 being the epsilon = 0 reference.  Each row matches a standalone
-    evolve() run of its epsilon.  The fitted gain uses the window t >= 1
-    with y below 10% of the initial-data norm, before the linear law
-    saturates.
+    One evolve() call on base_config with epsilon = (0, *epsilons): the
+    rows of the batch share grid, step and initial data, row 0 being the
+    reference, and each matches a standalone evolve() run of its epsilon.
+    The fitted gain uses the window t >= 1 with y below 10% of the
+    initial-data norm, before the linear law saturates.
     """
     if len(epsilons) == 0:
         raise ConfigError("error study needs at least one epsilon")
@@ -644,23 +655,13 @@ def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudy
         raise ConfigError("error-study epsilons must be positive and finite")
     if not base_config.snapshot_times:
         raise ConfigError("error study needs snapshot_times in the base config")
-    if base_config.system is not SystemKind.PEREGRINE_DISSIPATIVE:
-        raise ConfigError("error study needs the peregrine-dissipative system")
-    _check_work(base_config, max(epsilons), 1 + len(epsilons))
+    snapshots = evolve(replace(base_config, epsilon=(0.0, *epsilons)))
+    reference, *dissipative = (
+        [FieldPair(s.eta[r], s.u[r], s.t) for s in snapshots]
+        for r in range(1 + len(epsilons))
+    )
 
     init = make_initial(base_config.ic, base_config.grid)
-    runs = 1 + len(epsilons)
-    batch = FieldPair(np.tile(init.eta, (runs, 1)), np.tile(init.u, (runs, 1)))
-    column = np.array([0.0] + [float(e) for e in epsilons])[:, None]
-    snapshots = _march(
-        batch,
-        base_config,
-        lambda s: _checked(_rk4_step(s, base_config, column), s.t + base_config.dt, base_config),
-    )
-    reference, *dissipative = (
-        [FieldPair(s.eta[r], s.u[r], s.t) for s in snapshots] for r in range(runs)
-    )
-
     zero = FieldPair(np.zeros(base_config.grid.n), np.zeros(base_config.grid.n), 0.0)
     ic_norm = error_norm(init, zero, base_config.grid)
 

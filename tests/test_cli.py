@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import bore_lab
+import bore_lab.cli
 from bore_lab.cli import main
 from bore_lab.config import load_config
+from bore_lab.errors import NumericsError
 from bore_lab.waveform import (
     WaveParams,
     critical_epsilon,
@@ -314,6 +316,26 @@ def test_evolve_is_byte_deterministic(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_evolve_failing_reference_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    # Both runs finish before --out-dir is made, as in profile and error-study.
+    evolve = bore_lab.cli.evolve
+    calls = []
+
+    def evolve_then_fail(config):
+        calls.append(config.system.value)
+        if len(calls) == 2:
+            raise NumericsError("reference run failed")
+        return evolve(config)
+
+    monkeypatch.setattr(bore_lab.cli, "evolve", evolve_then_fail)
+    conf = write_small_config(tmp_path)
+    assert main(["evolve", "--config", conf, "--out-dir", str(tmp_path / "o"),
+                 "--reference", "shallow-water"]) == 3
+    assert "reference run failed" in capsys.readouterr().err
+    assert calls == ["peregrine-dissipative", "shallow-water"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_evolve_horizon_check(tmp_path, capsys):
     text = SMALL_RUN.replace("t_end = 6", "t_end = 40")
     text = text.replace("snapshot_times = 0,3,6", "snapshot_times = 40")
@@ -418,7 +440,10 @@ def test_error_study_rejects_bad_epsilons(tmp_path, capsys, epsilons):
     conf = write_small_config(tmp_path, STUDY_RUN)
     assert main(["error-study", "--config", conf, "--epsilons", epsilons,
                  "--out-dir", str(tmp_path / "o")]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if epsilons == ",":
+        assert "at least one epsilon" in err
+    assert not (tmp_path / "o").exists()
 
 
 # ---- non-finite and out-of-range numbers --------------------------------

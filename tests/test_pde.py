@@ -2,14 +2,18 @@
 time stepper's conservation and validation behavior."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bore_lab.csvio import write_csv
 from bore_lab.errors import ConfigError, NumericsError
 from bore_lab.pde import (
+    _RK4_REAL_LIMIT,
     _checked,
     FieldPair,
     Gaussian,
@@ -19,6 +23,7 @@ from bore_lab.pde import (
     Grid,
     RunConfig,
     SmoothedRiemann,
+    SystemKind,
     cfl_bound,
     discrete_mass,
     energy_functional,
@@ -465,6 +470,9 @@ def test_config_accepts_string_system():
         dict(epsilon=math.inf),
         dict(t_end=math.nan),
         dict(t_end=math.inf),
+        dict(epsilon=()),
+        dict(epsilon=(0.0, math.nan)),
+        dict(epsilon=(0.0, -0.1)),
     ],
 )
 def test_config_validation(overrides):
@@ -651,6 +659,52 @@ def test_shallow_water_reflective_walls_conserve_mass_and_symmetry():
     assert np.array_equal(final.u, -final.u[::-1])
 
 
+# ---- envelope sweep ----------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(
+    system=st.sampled_from([kind.value for kind in SystemKind]),
+    boundary=st.sampled_from(["periodic", "reflective"]),
+    amplitude=st.floats(-0.95, 3.0, exclude_min=True),
+    delta=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    epsilon=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    fraction=st.floats(0.0, 1.0, exclude_min=True),
+    steps=st.integers(0, 40),
+)
+def test_envelope_run_finishes_or_names_its_failure(
+    system, boundary, amplitude, delta, epsilon, fraction, steps
+):
+    # dt is a fraction of the smaller of the advective and RK4 damping
+    # bounds; t_end is a whole number of steps, so a small dt makes a short
+    # run rather than a long one.  The systems that fix delta or epsilon
+    # get their own values.  Each draw is refused at construction, finishes
+    # finite with its mass kept, or fails a named check.
+    if system != "peregrine-dissipative":
+        epsilon = 0.0
+    if system == "shallow-water":
+        delta = 0.0
+    grid = Grid(-40.0, 40.0, 256, boundary)
+    ic = Gaussian(amplitude, 5.0)
+    init = make_initial(ic, grid)
+    damping = math.inf
+    if epsilon > 0.0:
+        damping = _RK4_REAL_LIMIT * (grid.dx**2 + 4.0 * delta) / (4.0 * epsilon)
+    dt = fraction * min(cfl_bound(init, grid), damping)
+    try:
+        cfg = RunConfig(system, grid, ic, dt, steps * dt, delta=delta, epsilon=epsilon)
+    except ConfigError:
+        return
+    try:
+        (final,) = evolve(cfg)
+    except NumericsError as exc:
+        assert re.search("non-finite|vacuum|advective bound|Helmholtz", str(exc)), exc
+        return
+    assert np.all(np.isfinite(final.eta)) and np.all(np.isfinite(final.u))
+    drift = abs(discrete_mass(final, grid) - discrete_mass(init, grid))
+    assert drift <= 1e-12 * grid.dx * np.sum(np.abs(init.eta))
+
+
 # ---- norms -------------------------------------------------------------
 
 
@@ -755,6 +809,40 @@ def test_error_study_validation():
     fits_one_row = small_config(dt=2e-6, snapshot_times=(1.0, 2.0))
     with pytest.raises(ConfigError, match="cell-step budget"):
         error_study(fits_one_row, [0.1, 0.05])
+
+
+def test_error_study_is_one_evolve_through_step(monkeypatch):
+    # Every PDE run takes the one step path: one call per dt, on the
+    # (rows, n) batch of the reference and the dissipative runs.
+    shapes = []
+
+    def counting_step(state, config):
+        shapes.append(state.eta.shape)
+        return step(state, config)
+
+    monkeypatch.setattr("bore_lab.pde.step", counting_step)
+    cfg = small_config(t_end=2.0, snapshot_times=(1.0, 2.0))
+    error_study(cfg, [0.1, 0.05])
+    assert shapes == [(3, cfg.grid.n)] * round(cfg.t_end / cfg.dt)
+
+
+@pytest.mark.parametrize("system, delta", [("peregrine-inviscid", 1.0), ("shallow-water", 0.0)])
+@pytest.mark.parametrize("epsilons", [(0.0, 0.0), (0.0, 0.1)])
+def test_epsilon_tuple_needs_the_dissipative_system(system, delta, epsilons):
+    with pytest.raises(ConfigError, match="peregrine-dissipative"):
+        small_config(system=system, delta=delta, epsilon=epsilons)
+
+
+def test_batch_initial_must_have_the_batch_shape():
+    cfg = small_config(t_end=0.5, epsilon=(0.0, 0.1))
+    init = make_initial(cfg.ic, cfg.grid)
+    with pytest.raises(ValueError, match="shape"):
+        evolve(cfg, initial=init)
+    rows = FieldPair(np.tile(init.eta, (2, 1)), np.tile(init.u, (2, 1)))
+    (given_rows,), (configured,) = evolve(cfg, initial=rows), evolve(cfg)
+    assert given_rows.eta.shape == (2, cfg.grid.n)
+    assert np.array_equal(given_rows.eta, configured.eta)
+    assert np.array_equal(given_rows.u, configured.u)
 
 
 def test_error_study_without_fit_window_raises():
