@@ -23,9 +23,9 @@ Hindmarsh 1983, Petzold 1983) with the analytic Jacobian, in one call of
 scipy's odeint over a predicted span: the time the upstream deviation
 takes to decay from u_tail to tail_tol at the tail's rate plus the time
 the seed takes to grow at |lambda_minus|, with a margin; a sweep that
-ends short of its stop reruns over twice the span.  The exported samples
-lie on a uniform grid in xi, the call's output times: the solver steps
-past each and returns its own interpolant there (ODEPACK's intdy), in
+ends short of its stop reruns over twice the span.  The samples lie on
+a uniform grid in xi, the call's output times: the solver steps past
+each and returns its own interpolant there (ODEPACK's intdy), in
 compiled code, so the samples never set the steps.  Its first step is
 the one LSODA picks for the whole sweep, and rtol/atol alone set the rest.
 A sweep predicted to take more than MAX_PROFILE_SAMPLES samples, or a
@@ -33,9 +33,17 @@ span over _OVERRUN_FACTOR times max_span, is refused before it starts.
 The grid spacing is tied to the slow linear rates, |lambda_minus| and
 the upstream rate, not to the fast node eigenvalue of a regularized
 tail: that one grows like 1/delta, and the backward orbit has no
-structure on its scale.  The grid supports
-trapezoid quadrature of the dissipation integral to the documented 1e-3
-and robust bracketing of extrema.
+structure on its scale.  The grid supports quadrature of the
+dissipation integral to the documented 1e-3 and robust bracketing of
+extrema.
+
+The orbit approaches both equilibria exponentially, so most samples lie
+in quiet tails.  profile.csv writes the subset csv_rows picks: every
+sample at least _THIN_DISTANCE u_tail from both equilibria, and nearer
+to one a stride of up to _MAX_STRIDE samples that grows as the distance
+falls; the seed and the stop sample are always written.  The
+end-corrected trapezoid of energy_identity_residual reads the same
+digits on those rows as on the whole grid.
 
 The field gives the exact slope of every sampled quantity, so extrema,
 inflections and the front crossing are roots of piecewise cubic Hermite
@@ -71,9 +79,16 @@ from .waveform import (
 )
 
 # Sample spacing = _STEP_FRACTION / (slow linear rate, see _slow_rate);
-# keeps the trapezoid dissipation error below 1e-3 and gives at least
-# 2 pi / _STEP_FRACTION ~ 157 samples per oscillation period.
+# gives at least 2 pi / _STEP_FRACTION ~ 157 samples per oscillation period
+# in memory, where shape_report brackets extrema.
 _STEP_FRACTION = 0.04
+# profile.csv thins the quiet tails (see csv_rows): every sample whose
+# distance to the nearer equilibrium is at least _THIN_DISTANCE u_tail is
+# written, and the stride between written samples grows like that
+# distance to the -1/4, at most to _MAX_STRIDE, which still leaves
+# 157 / 8 ~ 19 rows per oscillation period.
+_THIN_DISTANCE = 1e-2
+_MAX_STRIDE = 8
 # The sweep's first span is this multiple of _predicted_span; a sweep that
 # ends before its stop reruns over twice the span.
 _SPAN_MARGIN = 1.2
@@ -587,12 +602,20 @@ def _fit_oscillatory_tail(profile, u0, maxima, minima):
 def energy_identity_residual(profile: Profile) -> float:
     """Relative mismatch of epsilon * integral(u'**2) vs the closed form.
 
-    Trapezoid quadrature over the profile samples; documented to stay
-    below 1e-3 for tail_tol <= 1e-8 at the shipped sampling density.
+    End-corrected trapezoid quadrature over the profile samples, exact for
+    cubics on any mesh: h/2 (f0 + f1) + h**2/12 (f0' - f1') per interval,
+    f = u'**2 with the exact slope f' = 2 u' u'', u'' = v' / (delta c).  It
+    holds the same digits on the thinned rows of profile.csv as on the
+    sweep's uniform grid; documented to stay below 1e-3 for
+    tail_tol <= 1e-8 at the shipped sampling density.
     """
     params = profile.params
-    du = profile.v / (params.delta * params.c)
-    lhs = params.epsilon * float(np.trapezoid(du * du, profile.xi))
+    du, dv = vector_field(profile.u, profile.v, params)
+    f = du * du
+    df = 2.0 * du * dv / (params.delta * params.c)
+    h = np.diff(profile.xi)
+    integral = np.sum(h * (0.5 * (f[:-1] + f[1:]) + h / 12.0 * (df[:-1] - df[1:])))
+    lhs = params.epsilon * float(integral)
     rhs = dissipated_energy(params.c)
     return abs(lhs - rhs) / rhs
 
@@ -666,9 +689,58 @@ def lyapunov_backstep(profile: Profile) -> float:
     return max(0.0, -worst)
 
 
+def csv_rows(profile: Profile) -> np.ndarray:
+    """Indices of the samples write_profile_csv writes, ascending.
+
+    Let d = min(sqrt((u - u_tail)**2 + v**2 / (delta c R)), |u| + |v|) / u_tail,
+    R the restoring coefficient: the distance to the nearer equilibrium, in
+    the stop rule's norm upstream.  The cubic Hermite error between samples
+    is h**4 max|y''''| / 384 (Hairer, Norsett & Wanner, II.6), and |y''''|
+    scales with d, so the stride at a sample is the largest power of two at
+    most clip((d / _THIN_DISTANCE)**(-1/4), 1, _MAX_STRIDE): 1 wherever
+    d > _THIN_DISTANCE / 16.  Sample k, counted from the seed, is written
+    when k is a multiple of its stride; the seed (k = 0) and the stop sample
+    (the first row) are always written, and written samples lie at most
+    _MAX_STRIDE samples apart.
+    """
+    params = profile.params
+    u0 = equilibria(params).u_tail
+    dcr = params.delta * params.c * restoring_coefficient(params.c)
+    u, v = profile.u, profile.v
+    # In place, so that at most three sample-length arrays live at once.
+    d = np.subtract(u, u0)
+    d *= d
+    w = v * v
+    w /= dcr
+    d += w
+    np.sqrt(d, out=d)
+    np.abs(u, out=w)
+    w += np.abs(v)
+    np.minimum(d, w, out=d)
+    del w
+    d /= u0
+    # Sample k is left out when its stride does not divide k: with 2**j
+    # the largest power of two dividing k mod _MAX_STRIDE, when
+    # d <= _THIN_DISTANCE / 16**(j + 1).  below[k mod _MAX_STRIDE] holds
+    # that bound, -inf where _MAX_STRIDE divides k; along the samples it
+    # repeats with period _MAX_STRIDE.
+    j = np.arange(1, _MAX_STRIDE)
+    below = np.concatenate(([-np.inf], _THIN_DISTANCE / 16.0 / (j & -j) ** 4.0))
+    k = (d.size - 1 - np.arange(_MAX_STRIDE)) % _MAX_STRIDE  # of the first samples
+    keep = d > np.resize(below[k], d.size)
+    keep[:1] = True
+    return np.flatnonzero(keep)
+
+
 def write_profile_csv(profile: Profile, path) -> None:
-    """Write samples as CSV with header xi,u,v,eta at full double precision."""
-    write_csv(path, "xi,u,v,eta", [profile.xi, profile.u, profile.v, profile.eta])
+    """Write the samples at csv_rows as CSV with header xi,u,v,eta.
+
+    Every value is written at full double precision (%.17g), so each row
+    reads back as the sample it came from.
+    """
+    rows = csv_rows(profile)
+    write_csv(path, "xi,u,v,eta",
+              [profile.xi[rows], profile.u[rows], profile.v[rows], profile.eta[rows]])
 
 
 def load_profile_csv(path) -> dict:

@@ -14,8 +14,9 @@ import pytest
 import bore_lab
 import bore_lab.cli
 from bore_lab.cli import main
-from bore_lab.config import load_config
+from bore_lab.config import build_wave_params, load_config, preset_pairs
 from bore_lab.errors import NumericsError
+from bore_lab.traveling_wave import csv_rows, integrate_profile
 from bore_lab.waveform import (
     WaveParams,
     critical_epsilon,
@@ -208,7 +209,14 @@ def test_profile_records_solver_block(profile_dir):
     assert set(solver) == {"method", "steps", "rhs_evals", "jac_evals", "samples",
                            "xi_span", "seed_offset"}
     rows = (profile_dir / "profile.csv").read_text().splitlines()[1:]
-    assert solver["samples"] == len(rows)
+    # samples counts the sweep's work; the CSV holds the thinned subset.
+    assert len(rows) <= solver["samples"]
+    profile = integrate_profile(build_wave_params(
+        {k: str(v) for k, v in preset_pairs("fig2").items()}))
+    assert solver["samples"] == profile.xi.size
+    kept = csv_rows(profile)
+    table = np.column_stack([profile.xi, profile.u, profile.v, profile.eta])[kept]
+    assert rows == [",".join("%.17g" % x for x in row) for row in table.tolist()]
     assert solver["method"] == "LSODA"
     assert solver["xi_span"] == [float(rows[0].split(",")[0]),
                                  float(rows[-1].split(",")[0])]

@@ -567,6 +567,25 @@ def test_energy_decays_on_dissipative_run(riemann_run):
     assert energies[-1] < energies[0]
 
 
+def test_energy_functional_can_grow_on_a_dissipative_run():
+    # energy_functional is no Lyapunov functional: on this draw of the PDE
+    # envelope sweep it grows, by the same amount at dt and dt/4, so the
+    # growth is the system's, not the time stepper's.
+    grid = Grid(-40.0, 40.0, 256, "periodic")
+    ic = Gaussian(-0.949, 5.0)
+    delta, epsilon = 1.064, 42.34
+    dt = 0.04 * _RK4_REAL_LIMIT * (grid.dx**2 + 4.0 * delta) / (4.0 * epsilon)
+    e0 = energy_functional(make_initial(ic, grid), grid, delta)
+    growth = []
+    for div in (1, 4):
+        cfg = RunConfig("peregrine-dissipative", grid, ic, dt / div, 8 * dt,
+                        delta=delta, epsilon=epsilon)
+        (final,) = evolve(cfg)
+        growth.append((energy_functional(final, grid, delta) - e0) / e0)
+    assert growth[0] == pytest.approx(7.1e-7, rel=0.01)
+    assert growth[1] == pytest.approx(growth[0], rel=1e-6)
+
+
 def test_mass_conservation_reflective():
     g = Grid(-80.0, 80.0, 640, "reflective")
     cfg = RunConfig("peregrine-dissipative", g, Gaussian(0.4, 8.0), 0.025, 4.0,

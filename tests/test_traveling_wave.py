@@ -39,6 +39,7 @@ from bore_lab import (
 from bore_lab import traveling_wave
 from bore_lab.config import preset_pairs
 from bore_lab.waveform import (
+    RealPair,
     critical_epsilon,
     dissipated_energy,
     lyapunov_value,
@@ -820,15 +821,83 @@ def test_sweep_predicted_to_overrun_max_span_fails_at_once(monkeypatch):
 
 
 def test_profile_csv_round_trip(tmp_path, mono_profile):
+    # Every written row reads back bit for bit as the sample it came from.
     path = tmp_path / "profile.csv"
     write_profile_csv(mono_profile, path)
     header = path.read_text().splitlines()[0]
     assert header == "xi,u,v,eta"
     data = load_profile_csv(path)
-    assert np.array_equal(data["xi"], mono_profile.xi)
-    assert np.array_equal(data["u"], mono_profile.u)
-    assert np.array_equal(data["v"], mono_profile.v)
-    assert np.array_equal(data["eta"], mono_profile.eta)
+    kept = traveling_wave.csv_rows(mono_profile)
+    for name in ("xi", "u", "v", "eta"):
+        assert np.array_equal(data[name], getattr(mono_profile, name)[kept])
+
+
+def distance_to_equilibria(profile):
+    """d of csv_rows: distance to the nearer equilibrium over u_tail."""
+    p = profile.params
+    u0 = equilibria(p).u_tail
+    dcr = p.delta * p.c * restoring_coefficient(p.c)
+    upstream = np.sqrt((profile.u - u0) ** 2 + profile.v ** 2 / dcr)
+    return np.minimum(upstream, np.abs(profile.u) + np.abs(profile.v)) / u0
+
+
+def documented_rows(profile):
+    """The rows profile.csv keeps, by csv_rows' rule, one sample at a time."""
+    n = profile.xi.size
+    rows = []
+    for i, d in enumerate(distance_to_equilibria(profile).tolist()):
+        ratio = min(max((d / 1e-2) ** -0.25, 1.0), 8.0) if d > 0.0 else 8.0
+        stride = 2 ** int(math.log2(ratio))
+        if i == 0 or (n - 1 - i) % stride == 0:
+            rows.append(i)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """params -> (profile, its profile.csv), each integrated and written once."""
+    cache = {}
+
+    def get(params):
+        if params not in cache:
+            profile = integrate_profile(params)
+            path = tmp_path_factory.mktemp("csv") / "profile.csv"
+            write_profile_csv(profile, path)
+            cache[params] = profile, path
+        return cache[params]
+
+    return get
+
+
+@pytest.mark.parametrize("params", TAIL_TRIPLES + NEAR_THRESHOLD_TRIPLES)
+def test_profile_csv_writes_the_documented_rows(params, written):
+    profile, path = written(params)
+    kept = traveling_wave.csv_rows(profile)
+    rows = documented_rows(profile)
+    assert kept.tolist() == rows
+    table = np.column_stack([profile.xi, profile.u, profile.v, profile.eta])[kept]
+    assert path.read_text().splitlines() == ["xi,u,v,eta"] + [
+        ",".join("%.17g" % x for x in row) for row in table.tolist()]
+    # The core keeps the sweep's spacing; the stop sample and the seed
+    # are written; no gap exceeds the stride cap.
+    core = np.flatnonzero(distance_to_equilibria(profile) >= 1e-2)
+    assert set(core.tolist()) <= set(rows)
+    assert rows[0] == 0 and rows[-1] == profile.xi.size - 1
+    assert np.max(np.diff(kept)) <= 8
+    assert kept.size < profile.xi.size
+
+
+@pytest.mark.parametrize("params", TAIL_TRIPLES + NEAR_THRESHOLD_TRIPLES)
+def test_certificates_hold_on_the_written_rows(params, written):
+    profile, path = written(params)
+    reloaded = Profile(params=params, seed_offset=profile.seed_offset, **load_profile_csv(path))
+    allowance = 10.0 * (profile.options.rtol + profile.options.atol)
+    assert lyapunov_backstep(reloaded) <= allowance
+    assert check_derivative_bounds(reloaded).passed
+    if isinstance(tail_eigenvalues(params), RealPair):
+        assert check_triangle_confinement(reloaded).passed
+    # The end-corrected trapezoid reads the thinned rows to the full grid's digits.
+    assert abs(energy_identity_residual(reloaded) - energy_identity_residual(profile)) <= 1e-10
 
 
 def test_shape_report_json(tmp_path, osc_shape):
