@@ -20,14 +20,15 @@ Numer. Anal. 10, 1990).
 
 The sweep runs LSODA (Adams/BDF with automatic stiffness switching,
 Hindmarsh 1983, Petzold 1983) with the analytic Jacobian, in one call of
-scipy's odeint over a predicted span: the time the upstream deviation
-takes to decay from u_tail to tail_tol at the tail's rate plus the time
-the seed takes to grow at |lambda_minus|, with a margin; a sweep that
-ends short of its stop reruns over twice the span.  The samples lie on
-a uniform grid in xi, the call's output times: the solver steps past
-each and returns its own interpolant there (ODEPACK's intdy), in
-compiled code, so the samples never set the steps.  Its first step is
-the one LSODA picks for the whole sweep, and rtol/atol alone set the rest.
+scipy's compiled odeint (see _lsoda) over a predicted span: the time the
+upstream deviation takes to decay from u_tail to tail_tol at the tail's
+rate plus the time the seed takes to grow at |lambda_minus|, with a
+margin; a sweep that ends short of its stop reruns over twice the span.
+The samples lie on a uniform grid in xi, the call's output times: the
+solver steps past each and returns its own interpolant there (ODEPACK's
+intdy), in compiled code, so the samples never set the steps.  Its first
+step is the one LSODA picks for the whole sweep, and rtol/atol alone set
+the rest.
 A sweep predicted to take more than MAX_PROFILE_SAMPLES samples, or a
 span over _OVERRUN_FACTOR times max_span, is refused before it starts.
 The grid spacing is tied to the slow linear rates, |lambda_minus| and
@@ -48,15 +49,17 @@ digits on those rows as on the whole grid.
 The field gives the exact slope of every sampled quantity, so extrema,
 inflections and the front crossing are roots of piecewise cubic Hermite
 interpolants (Hairer, Norsett & Wanner, Solving ODEs I, II.6) of the
-stored samples: fourth order in the spacing, and shape_report needs no
-solver, only a Profile.
+stored samples, each found by a safeguarded Newton iteration on its
+bracket: fourth order in the spacing, and shape_report needs no solver,
+only a Profile.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import sys
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
@@ -102,6 +105,17 @@ _OVERRUN_FACTOR = 2.0
 MAX_PROFILE_SAMPLES = 2**21
 _CORE_FACTOR = 10.0  # extrema/inflection counting ignores the last decades of tail
 _FIT_CEILING = 1e-3  # tail fits use samples within this fraction of the jump
+# LSODA's failure states (istate < 0), worded as scipy's odeint words them.
+_LSODA_FAILURES = {
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+    -8: "Run terminated (internal error).",
+}
 
 
 @dataclass(frozen=True)
@@ -297,6 +311,27 @@ def _predicted_span(params: WaveParams, offset: float, tail_tol: float) -> float
     return upstream + math.log(u_tail / offset) / abs(lam_minus)
 
 
+def _lsoda():
+    """scipy's compiled LSODA driver, odeint of scipy.integrate._odepack.
+
+    The extension module is loaded from its file: importing it by name runs
+    the package init of scipy.integrate first, which imports scipy.special,
+    scipy.optimize, scipy.sparse and scipy.linalg (+48 MiB resident and
+    0.4 s of start-up, against +2 MiB and 3 ms for the module alone).  It is
+    registered in sys.modules under its own name, so a later import of
+    scipy.integrate reuses the same module object.
+    """
+    name = "scipy.integrate._odepack"
+    module = sys.modules.get(name)
+    if module is None:
+        package = importlib.util.find_spec("scipy.integrate")
+        spec = importlib.machinery.PathFinder.find_spec(name, package.submodule_search_locations)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.odeint
+
+
 def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, opts: ProfileOptions):
     """LSODA on the field from seed backward in xi, sampled at xi = -k * spacing.
 
@@ -331,12 +366,9 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, op
     LSODA calls them with 2-vectors, where numpy's per-call cost would
     exceed the arithmetic.
     """
-    # scipy is imported where it is first used, never at module level:
-    # importing bore_lab or its CLI then loads no scipy module, and a
-    # command pays only for the parts it runs (scipy.integrate, home of
-    # odeint and its compiled LSODA, is ~2.5 MiB of resident memory alone,
-    # scipy.interpolate ~0.6 s of start-up).
-    from scipy.integrate import ODEintWarning, odeint
+    # The compiled driver is loaded here, at first use, never at module
+    # level: importing bore_lab or its CLI then loads no scipy module.
+    odeint = _lsoda()
 
     def fun(t, y):
         return vector_field(*y.tolist(), params)
@@ -350,14 +382,14 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, op
 
     def solve(tout):
         """(y, message) of one call over tout; message is None on success."""
-        with warnings.catch_warnings():
-            # A failed call raises IntegrationError below; odeint's warning
-            # for it would only repeat that.
-            warnings.simplefilter("ignore", ODEintWarning)
-            y, info = odeint(fun, y0, tout, Dfun=jac, full_output=True, rtol=opts.rtol,
-                             atol=opts.atol, h0=h0, mxstep=2**31 - 1, tfirst=True)
-        if info["message"] != "Integration successful.":
-            return y, info["message"]
+        # The positional arguments of scipy.integrate.odeint's own call: no
+        # args, a full Jacobian (col_deriv 0, ml = mu = -1), full output,
+        # no tcrit, hmax, hmin or ixpr, no step cap (mxstep), mxhnil 0, the
+        # default orders (mxordn 12, mxords 5), and tfirst.
+        y, info, istate = odeint(fun, y0, tout, (), jac, 0, -1, -1, 1, opts.rtol, opts.atol,
+                                 None, h0, 0.0, 0.0, 0, 2**31 - 1, 0, 12, 5, 1)
+        if istate < 0:
+            return y, _LSODA_FAILURES[istate]
         counts[:] += [info["nst"][-1], info["nfe"][-1], info["nje"][-1]]
         return y, None
 
@@ -479,26 +511,71 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
     )
 
 
+def _hermite_root(y0, y1, d0, d1):
+    """Smallest root in [0, 1] of each cubic p with p(0) = y0, p(1) = y1,
+    p'(0) = d0 and p'(1) = d1, arrays with y0 y1 < 0.
+
+    p(t) = ((a t + b) t + d0) t + y0.  The zeros of p' split [0, 1] into
+    pieces on which p is monotone, and the first piece whose ends differ in
+    sign holds the smallest root and no other.  On it, Newton's iteration
+    starts at the secant point, y0 / (y0 - y1) on an unsplit bracket, keeps
+    the sign bracket of the root, and bisects it whenever a step leaves it;
+    it stops when no t moves, within 60 iterations.
+    """
+    slope = y1 - y0
+    a = d0 + d1 - 2.0 * slope
+    b = slope - d0 - a
+    lo, hi = np.zeros_like(y0), np.ones_like(y0)
+    p_lo, p_hi = y0, y1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # The zeros of p' = 3 a t**2 + 2 b t + d0, ascending; NaN for none.
+        q = -(b + np.copysign(np.sqrt(b * b - 3.0 * a * d0), b))
+        for c in np.sort([q / (3.0 * a), d0 / q], axis=0):
+            p_c = ((a * c + b) * c + d0) * c + y0
+            inside = (lo < c) & (c < hi)
+            left = inside & (p_c * y0 > 0.0)
+            right = inside & ~left
+            lo, p_lo = np.where(left, c, lo), np.where(left, p_c, p_lo)
+            hi, p_hi = np.where(right, c, hi), np.where(right, p_c, p_hi)
+        t = lo + (hi - lo) * (p_lo / (p_lo - p_hi))
+        for _ in range(60):
+            p = ((a * t + b) * t + d0) * t + y0
+            left = p * y0 > 0.0
+            lo, hi = np.where(left, t, lo), np.where(left, hi, t)
+            step = t - p / ((3.0 * a * t + 2.0 * b) * t + d0)
+            inside = ((lo < step) & (step < hi)) | (step == t)
+            step = np.where(inside, step, 0.5 * (lo + hi))
+            if np.array_equal(step, t):
+                break
+            t = step
+    return t
+
+
+def _hermite_value(x, y, dy, i, xq):
+    """The cubic Hermite interpolant of (y, dy) on [x[i], x[i + 1]] at xq.
+
+    Monomials in s = xq - x[i] with the coefficients of scipy's
+    CubicHermiteSpline, summed in the order its evaluation sums them, so
+    the values are its values bit for bit.
+    """
+    h = x[i + 1] - x[i]
+    slope = (y[i + 1] - y[i]) / h
+    k = (dy[i] + dy[i + 1] - 2.0 * slope) / h
+    s = xq - x[i]
+    return y[i] + dy[i] * s + ((slope - dy[i]) / h - k) * (s * s) + k / h * (s * s * s)
+
+
 def _zeros(x, y, dy, mask):
     """(zeros, i): sign changes of y between samples x, dy the exact slope.
 
     A bracket is an interval whose two samples lie in mask and whose y
     values differ strictly in sign; i holds its left sample.  Its zero is
-    the root of the cubic Hermite interpolant of (y, dy) on the bracket.
+    the smallest root of the cubic Hermite interpolant of (y, dy) on the
+    bracket.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
     i = np.flatnonzero(mask[:-1] & mask[1:] & (y[:-1] * y[1:] < 0.0))
     h = x[i + 1] - x[i]
-    cubics = CubicHermiteSpline(
-        [0.0, 1.0], np.stack([y[i], y[i + 1]]), np.stack([h * dy[i], h * dy[i + 1]])
-    )
-    roots = cubics.roots(extrapolate=False)
-    for k, r in enumerate(roots):
-        if r.size == 0:
-            raise NumericsError(f"no zero of the interpolant on [{x[i[k]]}, {x[i[k] + 1]}]")
-    t = np.array([r[0] for r in roots])
-    return x[i] + h * t, i
+    return x[i] + h * _hermite_root(y[i], y[i + 1], h * dy[i], h * dy[i + 1]), i
 
 
 def _core_mask(profile: Profile) -> np.ndarray:
@@ -517,8 +594,6 @@ def shape_report(profile: Profile) -> ShapeReport:
     10 * tail_tol) so that roundoff wiggles in the resolved tails are not
     reported as structure.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
     params = profile.params
     u0 = equilibria(params).u_tail
     mask = _core_mask(profile)
@@ -526,7 +601,7 @@ def shape_report(profile: Profile) -> ShapeReport:
 
     du, dv = vector_field(u, v, params)
     locs, i = _zeros(xi, v, dv, mask)
-    vals = CubicHermiteSpline(xi, u, du)(locs)
+    vals = _hermite_value(xi, u, du, i, locs)
     crest = v[i] > 0.0  # v goes + -> -: u has a maximum
     maxima = list(zip(locs[crest].tolist(), vals[crest].tolist()))
     minima = list(zip(locs[~crest].tolist(), vals[~crest].tolist()))

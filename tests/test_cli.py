@@ -125,6 +125,30 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_profile_loads_no_scipy_package_init(tmp_path):
+    # profile loads the compiled LSODA module alone: none of the package
+    # inits of scipy.integrate, scipy.interpolate, scipy.special,
+    # scipy.optimize, scipy.sparse or scipy.linalg runs.  A later import of
+    # scipy.integrate reuses that module object.
+    out = _run_python(
+        "-c",
+        "import json, sys; from bore_lab import cli; "
+        f"code = cli.main(['profile', '--preset', 'fig6-c', '--out-dir', {str(tmp_path)!r}]); "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "from scipy.integrate import _odepack_py; "
+        "same = _odepack_py._odepack is sys.modules['scipy.integrate._odepack']; "
+        "print(json.dumps([code, loaded, same]))",
+    )
+    assert out.returncode == 0, out.stderr
+    code, loaded, same = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert "scipy.integrate._odepack" in loaded
+    assert "scipy.integrate" not in loaded
+    for package in ("interpolate", "special", "optimize", "sparse", "linalg"):
+        assert not [m for m in loaded if m.split(".")[1:2] == [package]], package
+    assert same
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -233,6 +233,29 @@ def test_helmholtz_residual(boundary):
     assert np.max(np.abs(resid)) < 1e-12 * np.max(np.abs(rhs))
 
 
+def test_periodic_correction_holds_no_subnormals():
+    # On the sec4-riemann grid the correction vector p decays to subnormals
+    # mid-domain; they are zeroed at factorization, and a solve comes out
+    # bit for bit as with the unflushed p.
+    from bore_lab.pde import _HelmholtzSolver
+
+    g = Grid(-800.0, 800.0, 6400)
+    solver = _HelmholtzSolver(1.0, g)
+    tiny = np.finfo(float).tiny
+    assert not np.any((solver._p != 0.0) & (np.abs(solver._p) < tiny))
+    raw = _HelmholtzSolver(1.0, g)
+    raw._p = None
+    w = np.zeros(g.n)
+    w[0] = w[-1] = 1.0
+    raw._p = raw.solve(w)
+    subnormal = (raw._p != 0.0) & (np.abs(raw._p) < tiny)
+    assert np.count_nonzero(subnormal) == 746
+    assert np.array_equal(np.where(subnormal, 0.0, raw._p), solver._p)
+    assert raw._gain == solver._gain
+    z = np.random.default_rng(7).standard_normal((2, g.n))
+    assert np.array_equal(solver.solve(z.copy()), raw.solve(z.copy()))
+
+
 def test_helmholtz_zero_delta_is_identity():
     g = periodic_grid(64)
     rhs = np.sin(g.x)

@@ -215,7 +215,7 @@ def test_orbit_at_the_singular_line_fails_at_once(monkeypatch):
 
 def test_solver_failure_is_an_integration_error():
     # Tolerances far below the unit roundoff: LSODA refuses them as illegal
-    # input at once, and odeint's warning for it does not escape.
+    # input at once, and no warning escapes.
     with pytest.raises(IntegrationError, match=r"LSODA failed before xi = -0\.\d+: Illegal input"):
         integrate_profile(MONO, ProfileOptions(rtol=1e-20, atol=1e-30))
 
@@ -587,11 +587,14 @@ def test_profile_ends_at_the_seed(fixture, request):
     assert profile.v[-1] == p.delta * p.c * lam_minus * profile.seed_offset
 
 
-TAIL_TRIPLES = [
+PRESET_TRIPLES = [
     pytest.param(WaveParams(*(preset_pairs(name)[k] for k in ("c", "delta", "epsilon"))),
                  id=name)
     for name in ("fig2", "fig5", "fig6-a", "fig6-b", "fig6-c", "fig9")
-] + [pytest.param(WaveParams(1.3, delta, 1.2), id=f"stiff-{delta}") for delta in (0.08, 0.1, 0.12)]
+]
+TAIL_TRIPLES = PRESET_TRIPLES + [
+    pytest.param(WaveParams(1.3, delta, 1.2), id=f"stiff-{delta}") for delta in (0.08, 0.1, 0.12)
+]
 
 
 @pytest.mark.parametrize("params", TAIL_TRIPLES)
@@ -688,29 +691,150 @@ def sweep_inputs(params, opts):
 def test_one_call_sweep_equals_the_per_sample_loop(params, monkeypatch):
     # Same LSODA, same first step, same tolerances and Jacobian: the samples
     # agree bitwise, and so do the counters of the one call at the stop.
-    import scipy.integrate
-
     opts = ProfileOptions()
     seed, spacing, span = sweep_inputs(params, opts)
-    odeint, infos = scipy.integrate.odeint, []
+    lsoda, infos = traveling_wave._lsoda(), []
 
-    def recorded(*args, **kwargs):
-        y, info = odeint(*args, **kwargs)
+    def recorded(*args):
+        y, info, istate = lsoda(*args)
         infos.append(info)
-        return y, info
+        return y, info, istate
 
-    monkeypatch.setattr(scipy.integrate, "odeint", recorded)
+    monkeypatch.setattr(traveling_wave, "_lsoda", lambda: recorded)
     xi, u, v, _ = traveling_wave._sweep(params, seed, spacing, span, opts)
     ref_xi, ref_u, ref_v, ref_counts = per_sample_sweep(params, seed, spacing, opts)
     assert len(infos) == 1
     assert np.array_equal(xi, ref_xi)
     assert np.array_equal(u, ref_u)
     assert np.array_equal(v, ref_v)
-    # Row i of odeint's counters belongs to output time i + 1; the stop
+    # Row i of LSODA's counters belongs to output time i + 1; the stop
     # sample is output time xi.size - 1.
     stop = xi.size - 2
     info = infos[0]
     assert (info["nst"][stop], info["nfe"][stop] + 1, info["nje"][stop]) == ref_counts
+
+
+@pytest.mark.parametrize("params", [MONO, WaveParams(5.0, 0.5, 1.0)], ids=["mono", "large-c"])
+def test_compiled_lsoda_sweeps_as_public_odeint(params, monkeypatch):
+    # The sweep's positional call of the compiled driver against the keyword
+    # call of scipy.integrate.odeint it stands for, on fig2 (MONO) and a large
+    # c: the same samples bit for bit and the same step, field and Jacobian
+    # counters at every output time.
+    import scipy.integrate
+
+    opts = ProfileOptions()
+    seed, spacing, span = sweep_inputs(params, opts)
+    lsoda = traveling_wave._lsoda()
+
+    def sweep(solver):
+        infos = []
+
+        def recorded(*args):
+            y, info, istate = solver(*args)
+            infos.append(info)
+            return y, info, istate
+
+        monkeypatch.setattr(traveling_wave, "_lsoda", lambda: recorded)
+        return traveling_wave._sweep(params, seed, spacing, span, opts), infos
+
+    def public(fun, y0, t, args, jac, col_deriv, ml, mu, full_output, rtol, atol, tcrit,
+               h0, hmax, hmin, ixpr, mxstep, mxhnil, mxordn, mxords, tfirst):
+        y, info = scipy.integrate.odeint(fun, y0, t, Dfun=jac, full_output=True, rtol=rtol,
+                                         atol=atol, h0=h0, mxstep=mxstep, tfirst=True)
+        assert info["message"] == "Integration successful."
+        return y, info, 2
+
+    (xi, u, v, counts), infos = sweep(lsoda)
+    (ref_xi, ref_u, ref_v, ref_counts), ref_infos = sweep(public)
+    assert np.array_equal(xi, ref_xi)
+    assert np.array_equal(u, ref_u)
+    assert np.array_equal(v, ref_v)
+    assert counts == ref_counts
+    assert len(infos) == len(ref_infos) == 1
+    for key in ("nst", "nfe", "nje"):
+        assert np.array_equal(infos[0][key], ref_infos[0][key])
+
+
+def test_lsoda_failure_messages_are_scipys():
+    from scipy.integrate import _odepack_py
+
+    assert traveling_wave._LSODA_FAILURES == {k: _odepack_py._msgs[k] for k in range(-1, -9, -1)}
+
+
+ROOT_TRIPLES = PRESET_TRIPLES + [
+    pytest.param(WaveParams(*t), id="-".join(map(str, t))) for t in [(5, 0.5, 1), (8, 0.5, 0.5)]
+]
+
+
+def exact_root(y0, y1, d0, d1):
+    """The root in [0, 1] of a monotone cubic Hermite p, in rationals, to 2**-100."""
+    from fractions import Fraction
+
+    y0, y1, d0, d1 = map(Fraction, (y0, y1, d0, d1))
+    a = d0 + d1 - 2 * (y1 - y0)
+    b = (y1 - y0) - d0 - a
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        if (((a * mid + b) * mid + d0) * mid + y0) * y0 > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("params", ROOT_TRIPLES)
+def test_hermite_roots_are_scipys(params, monkeypatch):
+    # Every bracket of the front crossing, the crests and the inflections,
+    # against the first root of scipy's CubicHermiteSpline on [0, 1].  Its
+    # roots are eigenvalues of a companion matrix; where the two x differ,
+    # they are neighbouring doubles and ours is the nearer to the exact root.
+    from fractions import Fraction
+
+    from scipy.interpolate import CubicHermiteSpline
+
+    zeros, brackets = traveling_wave._zeros, []
+
+    def recorded(x, y, dy, mask):
+        out = zeros(x, y, dy, mask)
+        brackets.append((x, y, dy) + out)
+        return out
+
+    monkeypatch.setattr(traveling_wave, "_zeros", recorded)
+    prof = integrate_profile(params)
+    report = shape_report(prof)
+    assert len(brackets) == 3
+    for x, y, dy, locs, i in brackets:
+        h = x[i + 1] - x[i]
+        y0, y1, d0, d1 = y[i], y[i + 1], h * dy[i], h * dy[i + 1]
+        roots = CubicHermiteSpline([0.0, 1.0], np.stack([y0, y1]),
+                                   np.stack([d0, d1])).roots(extrapolate=False)
+        ref = x[i] + h * np.array([r[0] for r in roots])
+        for k in np.flatnonzero(locs != ref):
+            assert locs[k] == np.nextafter(ref[k], locs[k])
+            exact = Fraction(x[i[k]]) + Fraction(h[k]) * exact_root(y0[k], y1[k], d0[k], d1[k])
+            assert abs(Fraction(locs[k]) - exact) < abs(Fraction(ref[k]) - exact)
+    # The crests' u: scipy's evaluation of the interpolant of (u, u').
+    du, _ = vector_field(prof.u, prof.v, params)
+    crests = sorted(report.maxima + report.minima)
+    locs = np.array([loc for loc, _ in crests])
+    assert [val for _, val in crests] == CubicHermiteSpline(prof.xi, prof.u, du)(locs).tolist()
+
+
+@pytest.mark.parametrize("roots", [(0.2, 0.5, 0.8), (0.3, 0.6, 0.95), (0.3, 0.31, 0.32)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_hermite_root_is_the_smallest_of_three(roots, sign):
+    # p = sign (t - r0)(t - r1)(t - r2) has three roots in its one bracket.
+    def p(t):
+        return sign * (t - roots[0]) * (t - roots[1]) * (t - roots[2])
+
+    def dp(t):
+        return sign * sum(math.prod(t - r for r in roots if r is not s) for s in roots)
+
+    x, dy = np.array([0.0, 1.0]), np.array([dp(0.0), dp(1.0)])
+    zeros, i = traveling_wave._zeros(x, np.array([p(0.0), p(1.0)]), dy, np.ones(2, dtype=bool))
+    assert i.tolist() == [0]
+    assert zeros[0] == pytest.approx(roots[0], abs=1e-12)
 
 
 def test_rerun_from_a_short_span_gives_the_same_profile(mono_profile, monkeypatch):
@@ -725,20 +849,18 @@ def test_rerun_from_a_short_span_gives_the_same_profile(mono_profile, monkeypatc
 
 
 def fail_from(fail_at, monkeypatch):
-    """Make odeint fail at output time fail_at of any longer grid, its rows
+    """Make LSODA fail at output time fail_at of any longer grid, its rows
     from there on holding a state that would meet the stop rule."""
-    import scipy.integrate
+    lsoda = traveling_wave._lsoda()
 
-    odeint = scipy.integrate.odeint
-
-    def failing(func, y0, t, **kwargs):
-        y, info = odeint(func, y0, t, **kwargs)
+    def failing(func, y0, t, *args):
+        y, info, istate = lsoda(func, y0, t, *args)
         if len(t) > fail_at:
             y[fail_at:] = [equilibria(MONO).u_tail, 0.0]
-            info["message"] = "Repeated error test failures (internal error)."
-        return y, info
+            istate = -4  # repeated error test failures
+        return y, info, istate
 
-    monkeypatch.setattr(scipy.integrate, "odeint", failing)
+    monkeypatch.setattr(traveling_wave, "_lsoda", lambda: failing)
 
 
 def test_solver_failure_past_the_stop_leaves_the_profile(mono_profile, monkeypatch):
@@ -759,15 +881,13 @@ def test_solver_failure_before_the_stop_names_its_sample(monkeypatch):
 
 
 def test_reruns_stay_within_the_sample_budget(monkeypatch):
-    import scipy.integrate
+    lsoda, grids = traveling_wave._lsoda(), []
 
-    odeint, grids = scipy.integrate.odeint, []
-
-    def recorded(func, y0, t, **kwargs):
+    def recorded(func, y0, t, *args):
         grids.append(len(t))
-        return odeint(func, y0, t, **kwargs)
+        return lsoda(func, y0, t, *args)
 
-    monkeypatch.setattr(scipy.integrate, "odeint", recorded)
+    monkeypatch.setattr(traveling_wave, "_lsoda", lambda: recorded)
     monkeypatch.setattr(traveling_wave, "_SPAN_MARGIN", 0.05)
     monkeypatch.setattr(traveling_wave, "MAX_PROFILE_SAMPLES", 200)
     with pytest.raises(IntegrationError, match="MAX_PROFILE_SAMPLES = 200 samples"):
@@ -808,12 +928,10 @@ def test_sweep_over_the_sample_budget_is_refused():
 def test_sweep_predicted_to_overrun_max_span_fails_at_once(monkeypatch):
     # The predicted span, about 91,000, is 45 times the default max_span:
     # the sweep is refused before the solver runs, not after 80k samples.
-    import scipy.integrate
+    def refused():
+        raise AssertionError("LSODA loaded")
 
-    def refused(*args, **kwargs):
-        raise AssertionError("odeint called")
-
-    monkeypatch.setattr(scipy.integrate, "odeint", refused)
+    monkeypatch.setattr(traveling_wave, "_lsoda", refused)
     start = time.perf_counter()
     with pytest.raises(IntegrationError, match=r"max_span = 2000\.0: .* about 9\.1e\+04"):
         integrate_profile(WaveParams(1.3, 0.2, 1e-4))
