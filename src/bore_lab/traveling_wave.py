@@ -332,6 +332,18 @@ def _lsoda():
     return module.odeint
 
 
+def _upstream_norm2(u, v, params: WaveParams):
+    """(u - u_tail)**2 + v**2 / (delta c R), R the restoring coefficient.
+
+    The norm of the sweep's stop rule, and of csv_rows' distance upstream.
+    It is 2E / (delta c R), E = v**2/2 + delta c R (u - u_tail)**2/2 the
+    Lyapunov function linearized upstream, and dE/dxi = epsilon v**2 /
+    (delta c) >= 0 at a spiral and a node alike.  u and v are arrays.
+    """
+    dcr = params.delta * params.c * restoring_coefficient(params.c)
+    return (u - equilibria(params).u_tail) ** 2 + v * v / dcr
+
+
 def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, opts: ProfileOptions):
     """LSODA on the field from seed backward in xi, sampled at xi = -k * spacing.
 
@@ -347,11 +359,7 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, op
 
     The samples are then read in order.  The first one that is non-finite,
     next to the singular line u = c (raising IntegrationError), or meets
-    the stop rule decides:
-    (u - u_tail)**2 + v**2 / (delta c R) < tail_tol**2, R the restoring
-    coefficient.  That is 2E / (delta c R), E = v**2/2 + delta c R
-    (u - u_tail)**2/2 the Lyapunov function linearized upstream, and
-    dE/dxi = epsilon v**2 / (delta c) >= 0 at a spiral and a node alike.
+    the stop rule decides: _upstream_norm2 below tail_tol**2.
     When no sample decides, the sweep reruns from the seed over twice the
     span, the same samples first, up to max_span or MAX_PROFILE_SAMPLES
     samples, where it raises IntegrationError.  A failed call fills no
@@ -394,7 +402,6 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, op
         return y, None
 
     u0 = equilibria(params).u_tail
-    dcr = params.delta * params.c * restoring_coefficient(params.c)
     tol2 = opts.tail_tol * opts.tail_tol
     limit = min(opts.max_span, MAX_PROFILE_SAMPLES * spacing)
     while True:
@@ -413,7 +420,7 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, op
         u, v = y[1 : xi.size + 1, 0], y[1 : xi.size + 1, 1]
         non_finite = ~(np.isfinite(u) & np.isfinite(v))
         singular = u > params.c - 1e-9 * params.c
-        decided = np.flatnonzero(non_finite | singular | ((u - u0) ** 2 + v * v / dcr < tol2))
+        decided = np.flatnonzero(non_finite | singular | (_upstream_norm2(u, v, params) < tol2))
         if decided.size:
             k = int(decided[0])
             if non_finite[k]:
@@ -767,43 +774,26 @@ def lyapunov_backstep(profile: Profile) -> float:
 def csv_rows(profile: Profile) -> np.ndarray:
     """Indices of the samples write_profile_csv writes, ascending.
 
-    Let d = min(sqrt((u - u_tail)**2 + v**2 / (delta c R)), |u| + |v|) / u_tail,
-    R the restoring coefficient: the distance to the nearer equilibrium, in
-    the stop rule's norm upstream.  The cubic Hermite error between samples
-    is h**4 max|y''''| / 384 (Hairer, Norsett & Wanner, II.6), and |y''''|
-    scales with d, so the stride at a sample is the largest power of two at
-    most clip((d / _THIN_DISTANCE)**(-1/4), 1, _MAX_STRIDE): 1 wherever
-    d > _THIN_DISTANCE / 16.  Sample k, counted from the seed, is written
-    when k is a multiple of its stride; the seed (k = 0) and the stop sample
+    Let d = min(sqrt(_upstream_norm2), |u| + |v|) / u_tail: the distance to
+    the nearer equilibrium, in the stop rule's norm upstream.  The cubic
+    Hermite error between samples is h**4 max|y''''| / 384 (Hairer, Norsett
+    & Wanner, II.6), and |y''''| scales with d, so the stride at a sample
+    is the largest power of two at most
+    clip((d / _THIN_DISTANCE)**(-1/4), 1, _MAX_STRIDE).  That is 2**j, j the
+    number of levels _THIN_DISTANCE / 16, / 256 and / 4096 at or above d:
+    1 wherever d > _THIN_DISTANCE / 16.  Sample k, counted from the seed, is
+    written when its stride divides k; the seed (k = 0) and the stop sample
     (the first row) are always written, and written samples lie at most
     _MAX_STRIDE samples apart.
     """
-    params = profile.params
-    u0 = equilibria(params).u_tail
-    dcr = params.delta * params.c * restoring_coefficient(params.c)
     u, v = profile.u, profile.v
-    # In place, so that at most three sample-length arrays live at once.
-    d = np.subtract(u, u0)
-    d *= d
-    w = v * v
-    w /= dcr
-    d += w
-    np.sqrt(d, out=d)
-    np.abs(u, out=w)
-    w += np.abs(v)
-    np.minimum(d, w, out=d)
-    del w
-    d /= u0
-    # Sample k is left out when its stride does not divide k: with 2**j
-    # the largest power of two dividing k mod _MAX_STRIDE, when
-    # d <= _THIN_DISTANCE / 16**(j + 1).  below[k mod _MAX_STRIDE] holds
-    # that bound, -inf where _MAX_STRIDE divides k; along the samples it
-    # repeats with period _MAX_STRIDE.
-    j = np.arange(1, _MAX_STRIDE)
-    below = np.concatenate(([-np.inf], _THIN_DISTANCE / 16.0 / (j & -j) ** 4.0))
-    k = (d.size - 1 - np.arange(_MAX_STRIDE)) % _MAX_STRIDE  # of the first samples
-    keep = d > np.resize(below[k], d.size)
-    keep[:1] = True
+    d = np.minimum(np.sqrt(_upstream_norm2(u, v, profile.params)), np.abs(u) + np.abs(v))
+    d /= equilibria(profile.params).u_tail
+    # Ascending: _THIN_DISTANCE / 16**j for j = log2(_MAX_STRIDE) ... 1.
+    levels = _THIN_DISTANCE / 16.0 ** np.arange(_MAX_STRIDE.bit_length() - 1, 0, -1)
+    stride = 2 ** (levels.size - np.searchsorted(levels, d))
+    keep = np.arange(d.size - 1, -1, -1) % stride == 0
+    keep[0] = True
     return np.flatnonzero(keep)
 
 

@@ -711,6 +711,28 @@ def test_overlay_rejects_non_finite_speed(profile_dir, tmp_path, capsys, c):
     assert "Froude number must be finite" in capsys.readouterr().err
 
 
+# Gauges (rows t, eta) and speeds whose common sampling would resample a
+# series to 1e11, 4e13 and 2e9 points; each once failed a huge allocation.
+OVERSIZED_GAUGES = {
+    "sampled-every-1e-9": (lambda t, eta: (np.arange(12) * 1e-9, np.linspace(0.0, 0.1, 12)), "1.3"),
+    "spanning-1e12": (lambda t, eta: (np.linspace(0.0, 1e12, 12), np.linspace(0.0, 0.1, 12)), "1.3"),
+    "400-rows-c-1e6": (lambda t, eta: (t, eta), "1e6"),
+}
+
+
+@pytest.mark.parametrize("gauge, c", OVERSIZED_GAUGES.values(), ids=OVERSIZED_GAUGES.keys())
+def test_overlay_refuses_an_oversized_alignment(profile_dir, tmp_path, capsys, gauge, c):
+    path = tmp_path / "gauge.csv"
+    write_gauge(path, *gauge(*station_trace(profile_dir, 1.3)))
+    report = tmp_path / "r.json"
+    start = time.perf_counter()
+    assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
+                 "--data", str(path), "--c", c, "--out", str(report)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "MAX_ALIGN_SAMPLES = 131072" in capsys.readouterr().err
+    assert not report.exists()
+
+
 # ---- preset-export -----------------------------------------------------
 
 

@@ -987,7 +987,12 @@ def written(tmp_path_factory):
     return get
 
 
-@pytest.mark.parametrize("params", TAIL_TRIPLES + NEAR_THRESHOLD_TRIPLES)
+# Long large-c sweeps with many crests: (8, 0.5, 0.5) takes 46,320 samples.
+LONG_TRIPLES = [pytest.param(WaveParams(c, 0.5, eps), id=f"{c}-0.5-{eps}")
+                for c, eps in ((5.0, 1.0), (8.0, 0.5))]
+
+
+@pytest.mark.parametrize("params", TAIL_TRIPLES + NEAR_THRESHOLD_TRIPLES + LONG_TRIPLES)
 def test_profile_csv_writes_the_documented_rows(params, written):
     profile, path = written(params)
     kept = traveling_wave.csv_rows(profile)
@@ -1003,6 +1008,47 @@ def test_profile_csv_writes_the_documented_rows(params, written):
     assert rows[0] == 0 and rows[-1] == profile.xi.size - 1
     assert np.max(np.diff(kept)) <= 8
     assert kept.size < profile.xi.size
+
+
+def flat_profile(params, u, n):
+    """n samples at (u, 0): a Profile whose every sample has one d."""
+    return Profile(params=params, xi=np.arange(float(n)), u=np.full(n, u), v=np.zeros(n),
+                   eta=np.zeros(n), seed_offset=1e-8 * equilibria(params).u_tail)
+
+
+def around_level(params, u, level):
+    """The u whose d, at v = 0, lies on level (when a double lands there)
+    and one ulp below and above it, as (u, d) pairs; u a first guess."""
+    def d(u):
+        return float(distance_to_equilibria(flat_profile(params, u, 1))[0])
+
+    # d grows with u on both sides searched, so walk u to the last d <= level.
+    while d(u) > level:
+        u = np.nextafter(u, -np.inf)
+    while d(np.nextafter(u, np.inf)) <= level:
+        u = np.nextafter(u, np.inf)
+    us = [np.nextafter(u, -np.inf), u, np.nextafter(u, np.inf)]
+    if d(u) < level:
+        us = us[1:]
+    return [(u, d(u)) for u in us]
+
+
+@pytest.mark.parametrize("side", ["upstream", "downstream"])
+def test_thinning_strides_at_the_level_boundaries(side):
+    # The stride is the largest power of two at most (d / 1e-2)**(-1/4),
+    # capped at 8, with d on a level 1e-2 / 16**j counting as at or above it:
+    # 2**j at or just below the level, 2**(j - 1) just above it.
+    params = MONO
+    u0 = equilibria(params).u_tail
+    n = 17
+    for j in (1, 2, 3):
+        level = 1e-2 / 16.0**j
+        guess = u0 * (1.0 + level) if side == "upstream" else level * u0
+        for u, d in around_level(params, guess, level):
+            stride = 2**j if d <= level else 2 ** (j - 1)
+            kept = traveling_wave.csv_rows(flat_profile(params, u, n)).tolist()
+            # Sample i is k = n - 1 - i from the seed; the first row always.
+            assert kept == [0] + [i for i in range(1, n) if (n - 1 - i) % stride == 0], (u, d)
 
 
 @pytest.mark.parametrize("params", TAIL_TRIPLES + NEAR_THRESHOLD_TRIPLES)
