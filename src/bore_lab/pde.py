@@ -7,8 +7,8 @@ derivative term induces on u_t.  Time stepping is classical RK4; the
 elliptic solve removes the third-derivative stiffness so the remaining CFL
 restriction is advective.
 
-Each RK4 stage evaluates the rate in one pass over a workspace cached per
-(grid, batch shape).  A padded (3, ..., n + 4) buffer holds the rows
+Each RK4 stage evaluates the rate in one pass over a workspace cached for
+the last (grid, batch shape).  A padded (3, ..., n + 4) buffer holds the rows
 (-1 - eta) u, eta and u, two ghost cells at each end, mirrored with the
 signs -1, +1, -1 at reflective walls.  The stage input y + h k is written
 into the interior of the adjacent (eta, u) rows with one multiply and one
@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._scipy import extension
 from .csvio import write_csv, write_json
 from .errors import ConfigError, NumericsError
 
@@ -234,12 +235,15 @@ class _HelmholtzSolver:
     identity), so an LDL^T factorization of the tridiagonal core is
     enough; the periodic wrap couples only the first and last unknowns
     and is restored by a rank-one Sherman-Morrison correction.
+
+    LAPACK's dpttrf and dpttrs come from scipy's compiled
+    scipy.linalg._flapack, loaded from its file without scipy.linalg's
+    package init; they are the very objects scipy.linalg.lapack exports.
     """
 
     def __init__(self, delta: float, grid: Grid):
-        from scipy.linalg.lapack import dpttrf, dpttrs
-
-        self._dpttrs = dpttrs
+        flapack = extension("scipy.linalg._flapack")
+        dpttrf, self._dpttrs = flapack.dpttrf, flapack.dpttrs
         n = grid.n
         q = delta / (grid.dx * grid.dx)
         diag = np.full(n, 1.0 + 2.0 * q)
@@ -281,7 +285,9 @@ class _HelmholtzSolver:
         return z
 
 
-@lru_cache(maxsize=16)
+# Every run factors one (delta, grid); only the last factorization is kept,
+# so a process holds one, whatever the runs before it.
+@lru_cache(maxsize=1)
 def _helmholtz(delta: float, grid: Grid) -> _HelmholtzSolver:
     return _HelmholtzSolver(delta, grid)
 
@@ -342,8 +348,10 @@ class _Stage:
 
 
 # The cached buffers are reused by every call on the same grid and batch
-# shape; the package starts no threads, and this cache assumes none.
-@lru_cache(maxsize=8)
+# shape; the package starts no threads, and this cache assumes none.  Every
+# run uses one grid and one batch shape, so only the last workspace is
+# kept: MAX_RUN_BYTES then bounds the process as well as the run.
+@lru_cache(maxsize=1)
 def _stage(grid: Grid, shape: Tuple[int, ...]) -> _Stage:
     return _Stage(grid, shape)
 

@@ -56,8 +56,6 @@ only a Profile.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 import sys
 from dataclasses import asdict, dataclass, field
@@ -65,6 +63,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._scipy import extension
 from .csvio import read_csv, write_csv, write_json
 from .errors import IntegrationError, NumericsError
 from .waveform import (
@@ -312,24 +311,9 @@ def _predicted_span(params: WaveParams, offset: float, tail_tol: float) -> float
 
 
 def _lsoda():
-    """scipy's compiled LSODA driver, odeint of scipy.integrate._odepack.
-
-    The extension module is loaded from its file: importing it by name runs
-    the package init of scipy.integrate first, which imports scipy.special,
-    scipy.optimize, scipy.sparse and scipy.linalg (+48 MiB resident and
-    0.4 s of start-up, against +2 MiB and 3 ms for the module alone).  It is
-    registered in sys.modules under its own name, so a later import of
-    scipy.integrate reuses the same module object.
-    """
-    name = "scipy.integrate._odepack"
-    module = sys.modules.get(name)
-    if module is None:
-        package = importlib.util.find_spec("scipy.integrate")
-        spec = importlib.machinery.PathFinder.find_spec(name, package.submodule_search_locations)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module.odeint
+    """scipy's compiled LSODA driver, odeint of scipy.integrate._odepack,
+    loaded from its file without scipy.integrate's package init."""
+    return extension("scipy.integrate._odepack").odeint
 
 
 def _upstream_norm2(u, v, params: WaveParams):

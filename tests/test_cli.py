@@ -40,6 +40,11 @@ t_end = 6
 snapshot_times = 0,3,6
 """
 
+# A shorter run with snapshots past t = 0, for error-study's fits.
+STUDY_RUN = SMALL_RUN.replace("t_end = 6", "t_end = 4").replace(
+    "snapshot_times = 0,3,6", "snapshot_times = 1,2,3,4"
+)
+
 
 @pytest.fixture(scope="module")
 def profile_dir(tmp_path_factory):
@@ -125,28 +130,64 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_profile_loads_no_scipy_package_init(tmp_path):
-    # profile loads the compiled LSODA module alone: none of the package
-    # inits of scipy.integrate, scipy.interpolate, scipy.special,
-    # scipy.optimize, scipy.sparse or scipy.linalg runs.  A later import of
-    # scipy.integrate reuses that module object.
-    out = _run_python(
-        "-c",
-        "import json, sys; from bore_lab import cli; "
-        f"code = cli.main(['profile', '--preset', 'fig6-c', '--out-dir', {str(tmp_path)!r}]); "
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
-        "from scipy.integrate import _odepack_py; "
-        "same = _odepack_py._odepack is sys.modules['scipy.integrate._odepack']; "
-        "print(json.dumps([code, loaded, same]))",
+# After a command, a later public import of the package must reuse the
+# module the command loaded from its file: for LAPACK, the very dpttrf and
+# dpttrs the run's Helmholtz solver took.
+LAPACK_IDENTITY = """\
+from bore_lab import pde
+from bore_lab.config import load_config
+from scipy.linalg import lapack
+config = load_config(sys.argv[1])
+misses = pde._helmholtz.cache_info().misses
+solver = pde._helmholtz(config.delta, config.grid)
+same = [pde._helmholtz.cache_info().misses == misses,
+        solver._dpttrs is lapack.dpttrs,
+        sys.modules["scipy.linalg._flapack"].dpttrf is lapack.dpttrf]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, module, identity",
+    [
+        pytest.param(
+            ["profile", "--preset", "fig6-c"], "scipy.integrate._odepack",
+            "from scipy.integrate import _odepack_py\n"
+            "same = [_odepack_py._odepack is sys.modules['scipy.integrate._odepack']]\n",
+            id="profile",
+        ),
+        pytest.param(
+            ["evolve", "--config", "{config}", "--reference", "shallow-water"],
+            "scipy.linalg._flapack", LAPACK_IDENTITY, id="evolve",
+        ),
+        pytest.param(
+            ["error-study", "--config", "{config}", "--epsilons", "0.1,0.05"],
+            "scipy.linalg._flapack", LAPACK_IDENTITY, id="error-study",
+        ),
+    ],
+)
+def test_commands_load_no_scipy_package_init(tmp_path, argv, module, identity):
+    # Each command loads the one compiled scipy module it needs from its
+    # file: none of the package inits of scipy.linalg, scipy.sparse,
+    # scipy.special, scipy.optimize, scipy.integrate or scipy.interpolate
+    # runs.
+    conf = write_small_config(tmp_path, STUDY_RUN)
+    argv = [a.format(config=conf) for a in argv] + ["--out-dir", str(tmp_path / "out")]
+    script = (
+        "import json, sys\n"
+        "from bore_lab import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"{identity}"
+        "print(json.dumps([code, loaded, same]))\n"
     )
+    out = _run_python("-c", script, conf)
     assert out.returncode == 0, out.stderr
     code, loaded, same = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
-    assert "scipy.integrate._odepack" in loaded
-    assert "scipy.integrate" not in loaded
-    for package in ("interpolate", "special", "optimize", "sparse", "linalg"):
-        assert not [m for m in loaded if m.split(".")[1:2] == [package]], package
-    assert same
+    assert module in loaded
+    for package in ("linalg", "sparse", "special", "optimize", "integrate", "interpolate"):
+        assert not [m for m in loaded if m.split(".")[1:2] == [package] and m != module], package
+    assert same and all(same), same
 
 
 @pytest.mark.parametrize(
@@ -424,11 +465,6 @@ def test_evolve_missing_config_file(tmp_path, capsys):
 
 
 # ---- error-study -------------------------------------------------------
-
-
-STUDY_RUN = SMALL_RUN.replace("t_end = 6", "t_end = 4").replace(
-    "snapshot_times = 0,3,6", "snapshot_times = 1,2,3,4"
-)
 
 
 def test_error_study_refusal_leaves_no_directory(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Semidiscrete operators against Fourier/closed-form oracles, then the
 time stepper's conservation and validation behavior."""
 
+import gc
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -541,6 +543,24 @@ def test_batch_row_budget():
         error_study(base, [0.1] * (10**5 - 1))
     with pytest.raises(ConfigError, match="memory budget"):
         error_study(base, [0.1] * 2467)
+
+
+def test_runs_on_two_grids_leave_one_workspace():
+    # The RK4 workspace (15 arrays per cell) and the Helmholtz factorization
+    # (3 more) of the last run stay cached, those of earlier runs do not:
+    # after runs on 2**14 and 2**15 cells the process holds the second's.
+    evolve(small_config(t_end=0.05))  # modules loaded before tracing
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for n in (2**14, 2**15):
+            evolve(small_config(grid=Grid(-100.0, 100.0, n, "periodic"), dt=1e-3, t_end=2e-3))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 15 * 8 * 2**15 <= held < 18 * 8 * (2**15 + 2**14)
 
 
 def test_cfl_bound_formula():
