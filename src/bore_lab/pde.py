@@ -17,9 +17,9 @@ first differences into that stage's (3, ..., n) rate buffer, and the
 second difference of u is read from the same padded row.  The stencils
 scale by the reciprocals 1/(12 dx) and 1/dx**2, so no pass divides.  Row 0
 of the rate buffer ends as eta_t; row 1 is built into the momentum forcing
-D1 eta + u D1 u and becomes epsilon D2 u - forcing in one subtraction
-(negated in a pass of its own only where epsilon is 0 in every row), then
-is solved in place to u_t; row 2 is scratch.
+D1 eta + u D1 u and becomes epsilon D2 u - forcing in one subtraction,
+then is solved in place to u_t; row 2 is scratch.  One path serves every
+delta, epsilon >= 0: at delta = 0 the solve applies the identity.
 
 Every run is one evolve call stepping through step once per dt.  A tuple
 epsilon makes a batch: one row per value, sharing grid, step and initial
@@ -293,16 +293,14 @@ def _helmholtz(delta: float, grid: Grid) -> _HelmholtzSolver:
 
 
 def helmholtz_apply_inverse(rhs: np.ndarray, delta: float, grid: Grid) -> np.ndarray:
-    """Solve z - delta * D2 z = rhs, rhs (n,) or (m, n); delta = 0 returns rhs unchanged."""
+    """Solve z - delta * D2 z = rhs, rhs (n,) or (m, n), into a new array;
+    at delta = 0 the factored operator is the identity."""
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim not in (1, 2) or rhs.shape[-1] != grid.n:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({grid.n},) or (m, {grid.n})")
-    z = rhs.copy()
-    if delta == 0.0:
-        return z
-    return _helmholtz(delta, grid).solve(z)
+    return _helmholtz(delta, grid).solve(rhs.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +322,10 @@ class _Stage:
         # Mirror sign of each row at reflective walls: u is odd, eta even.
         self.parity = np.array([-1.0, 1.0, -1.0]).reshape((3,) + (1,) * len(shape))
 
-    def rate(self, k: np.ndarray, delta: float, epsilon, dissipative: bool) -> None:
-        """Rates of the state in self.y into k[0] (eta_t) and k[1] (u_t)."""
+    def rate(self, k: np.ndarray, delta: float, epsilon) -> None:
+        """Rates of the state in self.y into k[0] (eta_t) and k[1] (u_t),
+        u_t = (I - delta D2)^-1 (epsilon D2 u - D1 eta - u D1 u) at any
+        delta, epsilon >= 0; epsilon a scalar or an (m, 1) column."""
         grid, p = self.grid, self.pad
         flux = p[0, ..., 2:-2]
         np.subtract(-1.0, self.eta, out=flux)
@@ -336,15 +336,11 @@ class _Stage:
         forcing = k[1]
         k[2] *= self.u
         forcing += k[2]
-        if dissipative:
-            # Second difference of u into the spent rows: k[2] and the flux.
-            d2 = _d2(p[2], grid.dx, out=k[2], scratch=flux)
-            d2 *= epsilon
-            np.subtract(d2, forcing, out=forcing)
-        else:
-            np.negative(forcing, out=forcing)
-        if delta != 0.0:
-            _helmholtz(delta, grid).solve(forcing, scratch=k[2])
+        # Second difference of u into the spent rows: k[2] and the flux.
+        d2 = _d2(p[2], grid.dx, out=k[2], scratch=flux)
+        d2 *= epsilon
+        np.subtract(d2, forcing, out=forcing)
+        _helmholtz(delta, grid).solve(forcing, scratch=k[2])
 
 
 # The cached buffers are reused by every call on the same grid and batch
@@ -375,7 +371,7 @@ def semidiscrete_rhs_peregrine(
     stage.eta[...] = eta
     stage.u[...] = u
     k = stage.k[0]
-    stage.rate(k, delta, epsilon, bool(np.any(epsilon != 0.0)))
+    stage.rate(k, delta, epsilon)
     return k[0].copy(), k[1].copy()
 
 
@@ -477,14 +473,13 @@ def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> np.ndarray:
     y = np.stack((state.eta, state.u))
     stage = _stage(grid, state.eta.shape)
     k1, k2, k3, k4 = stage.k
-    args = (config.delta, epsilon, bool(np.any(epsilon != 0.0)))
     stage.y[...] = y
-    stage.rate(k1, *args)
+    stage.rate(k1, config.delta, epsilon)
     for k, prev, h in ((k2, k1, 0.5 * dt), (k3, k2, 0.5 * dt), (k4, k3, dt)):
         # Stage input y + h * prev, written straight into the buffer.
         np.multiply(prev[:2], h, out=stage.y)
         stage.y += y
-        stage.rate(k, *args)
+        stage.rate(k, config.delta, epsilon)
     # Sum k1 + 2 k2 + 2 k3 + k4 into k2 in place, then add it to y, the
     # stacked copy of the state: the result never aliases the workspace.
     k1, k2, k3, k4 = k1[:2], k2[:2], k3[:2], k4[:2]
@@ -725,6 +720,8 @@ def sample_profile_on_grid(
     ramped back to zero somewhere far from the front: passing blend_center
     multiplies both fields by (1 + tanh((x - blend_center)/blend_width))/2.
     """
+    if not blend_width > 0.0:
+        raise ValueError(f"blend_width must be positive, got {blend_width}")
     from scipy.interpolate import CubicSpline
 
     x = grid.x
@@ -760,7 +757,7 @@ def shape_misfit(
 
     The reference fields are spline-translated by shift before comparing,
     so a pure traveling wave scores near zero when shift = c*t.  window
-    restricts the comparison to [lo, hi] in x.
+    restricts the comparison to [lo, hi] in x and must hold a grid point.
     """
     from scipy.interpolate import CubicSpline
 
@@ -768,6 +765,8 @@ def shape_misfit(
     mask = np.ones(grid.n, dtype=bool)
     if window is not None:
         mask = (x >= window[0]) & (x <= window[1])
+        if not np.any(mask):
+            raise ValueError(f"window {window} holds no grid point of [{x[0]}, {x[-1]}]")
     xs = np.clip(x[mask] - shift, x[0], x[-1])
     d_eta = evolved.eta[mask] - CubicSpline(x, reference.eta)(xs)
     d_u = evolved.u[mask] - CubicSpline(x, reference.u)(xs)

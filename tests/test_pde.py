@@ -366,9 +366,10 @@ def composed_rate(eta, u, delta, epsilon, grid):
 @pytest.mark.parametrize("delta", [0.5, 0.0])
 def test_stage_rate_equals_composed_operators(boundary, batch, delta):
     # The fused stage must give the composed rate bit for bit, and what it
-    # returns must not alias the workspace that the next call reuses.  Both
-    # branches of the forcing are pinned: a scalar epsilon = 0 negates it,
-    # any other epsilon subtracts it from epsilon D2 u; so is a one-row batch.
+    # returns must not alias the workspace that the next call reuses.  The
+    # stage has one path, epsilon D2 u - forcing, for every epsilon; the
+    # inputs take it at a scalar epsilon = 0, whose product is zero, at a
+    # nonzero scalar, at a batch with a zero row and at a one-row batch.
     g = Grid(-10.0, 10.0, 200, boundary)
     rng = np.random.default_rng(5)
     if batch:
@@ -422,16 +423,16 @@ def test_stage_rate_matches_dense_matrices(boundary, batch, delta):
     rng = np.random.default_rng(11)
     shape = (3, g.n) if batch else (g.n,)
     eta, u = rng.uniform(-0.5, 0.5, shape), rng.uniform(-0.5, 0.5, shape)
-    epsilon = np.array([[0.0], [0.1], [0.7]]) if batch else 0.3
-    eta_t, u_t = semidiscrete_rhs_peregrine(eta, u, delta, epsilon, g)
-    columns = np.broadcast_to(epsilon, shape[:-1] + (1,))
-    for row in np.ndindex(shape[:-1]):
-        e, v, eps = eta[row], u[row], float(columns[row][0])
-        want_eta = -d1_odd @ ((1.0 + e) * v)
-        forcing = -(v * (d1_odd @ v) + d1_even @ e) + eps * (d2_odd @ v)
-        want_u = np.linalg.solve(np.eye(g.n) - delta * d2_odd, forcing)
-        for got, want in ((eta_t[row], want_eta), (u_t[row], want_u)):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for epsilon in [np.array([[0.0], [0.1], [0.7]])] if batch else [0.3, 0.0]:
+        eta_t, u_t = semidiscrete_rhs_peregrine(eta, u, delta, epsilon, g)
+        columns = np.broadcast_to(epsilon, shape[:-1] + (1,))
+        for row in np.ndindex(shape[:-1]):
+            e, v, eps = eta[row], u[row], float(columns[row][0])
+            want_eta = -d1_odd @ ((1.0 + e) * v)
+            forcing = -(v * (d1_odd @ v) + d1_even @ e) + eps * (d2_odd @ v)
+            want_u = np.linalg.solve(np.eye(g.n) - delta * d2_odd, forcing)
+            for got, want in ((eta_t[row], want_eta), (u_t[row], want_u)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "reflective"])
@@ -849,6 +850,20 @@ def test_error_study_matches_standalone_runs(study):
         assert np.array_equal(series.times, [s.t for s in reference])
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.0])
+def test_batch_rows_equal_standalone_runs_byte_for_byte(delta):
+    # Compared by bytes, so that a signed zero in any row would show; the
+    # epsilon = 0 row and the standalone epsilon = 0 run take one stage path.
+    cfg = small_config(delta=delta, snapshot_times=(0.0, 1.0, 2.0))
+    batch = evolve(replace(cfg, epsilon=(0.0, 0.1)))
+    for row, epsilon in enumerate((0.0, 0.1)):
+        alone = evolve(replace(cfg, epsilon=epsilon))
+        for b, a in zip(batch, alone):
+            assert b.t == a.t
+            assert b.eta[row].tobytes() == a.eta.tobytes()
+            assert b.u[row].tobytes() == a.u.tobytes()
+
+
 def test_error_study_validation():
     cfg = small_config(t_end=2.0, snapshot_times=(1.0, 2.0))
     with pytest.raises(ConfigError):
@@ -1018,6 +1033,22 @@ def test_shape_misfit_undoes_translation():
     raw = shape_misfit(reference, moved, g, window=(-30.0, 30.0))
     assert aligned < 1e-6
     assert raw > 1e3 * aligned
+
+
+def test_empty_windows_and_nonpositive_blend_widths_are_refused(fast_profile):
+    # A window beside the domain or reversed would compare no point and
+    # score 0; a zero blend width divides by zero, a negative one inverts
+    # the ramp.
+    g = Grid(-10.0, 10.0, 80, "periodic")
+    a = FieldPair(np.zeros(g.n), np.zeros(g.n))
+    b = FieldPair(np.exp(-(g.x**2)), np.zeros(g.n))
+    assert shape_misfit(a, b, g) > 0.0
+    for window in ((50.0, 60.0), (5.0, -5.0)):
+        with pytest.raises(ValueError, match="holds no grid point"):
+            shape_misfit(a, b, g, window=window)
+    for width in (0.0, -5.0):
+        with pytest.raises(ValueError, match="blend_width must be positive"):
+            sample_profile_on_grid(fast_profile, g, blend_center=0.0, blend_width=width)
 
 
 def test_shape_misfit_constant_offset_closed_form():
