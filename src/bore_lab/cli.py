@@ -17,6 +17,7 @@ byte-identical results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -135,10 +136,10 @@ def cmd_profile(args) -> int:
     report = shape_report(profile)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_profile_csv(profile, out_dir / "profile.csv")
+    rows = write_profile_csv(profile, out_dir / "profile.csv")
     write_shape_report_json(report, out_dir / "shape.json", profile.solver)
     (out_dir / "plot.gp").write_text(_PROFILE_PLOT)
-    print(f"wrote {out_dir / 'profile.csv'} ({profile.xi.size} samples, "
+    print(f"wrote {out_dir / 'profile.csv'} ({rows} rows of {profile.xi.size} samples, "
           f"{report.regime_observed})")
     return 0
 
@@ -407,10 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built at the first main call and not at import:
+# parse_args returns a fresh Namespace each call and leaves the parser as
+# it was, so repeated main calls share it.
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -73,5 +73,4 @@ def write_csv(path, header: str, columns) -> None:
 def write_json(path, data) -> None:
     """Write data as JSON indented by two spaces, with a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2) + "\n")

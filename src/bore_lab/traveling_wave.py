@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -362,14 +362,19 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, op
     # level: importing bore_lab or its CLI then loads no scipy module.
     odeint = _lsoda()
 
+    # odeint copies the returned field out at once, so one array serves
+    # every call, and f2py takes it without parsing a tuple.
+    ydot = np.empty(2)
+
     def fun(t, y):
-        return vector_field(*y.tolist(), params)
+        ydot[0], ydot[1] = vector_field(*y.tolist(), params)
+        return ydot
 
     def jac(t, y):
         return _jacobian(y.item(0), params)
 
     y0 = [seed.u, seed.v]
-    h0 = -_first_step(fun(0.0, np.array(y0)), y0, opts.max_span, opts)
+    h0 = -_first_step(fun(0.0, np.array(y0)).tolist(), y0, opts.max_span, opts)
     counts = np.array([0, 1, 0])
 
     def solve(tout):
@@ -781,8 +786,9 @@ def csv_rows(profile: Profile) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def write_profile_csv(profile: Profile, path) -> None:
-    """Write the samples at csv_rows as CSV with header xi,u,v,eta.
+def write_profile_csv(profile: Profile, path) -> int:
+    """Write the samples at csv_rows as CSV with header xi,u,v,eta; return
+    the number of rows written.
 
     Every value is written at full double precision (%.17g), so each row
     reads back as the sample it came from.
@@ -790,6 +796,7 @@ def write_profile_csv(profile: Profile, path) -> None:
     rows = csv_rows(profile)
     write_csv(path, "xi,u,v,eta",
               [profile.xi[rows], profile.u[rows], profile.v[rows], profile.eta[rows]])
+    return rows.size
 
 
 def load_profile_csv(path) -> dict:
@@ -799,8 +806,12 @@ def load_profile_csv(path) -> dict:
 
 
 def write_shape_report_json(report: ShapeReport, path, solver: Optional[SolverRecord] = None) -> None:
-    """Write the report as JSON, with a "solver" block when solver is given."""
-    data = asdict(report)
+    """Write the report as JSON, with a "solver" block when solver is given.
+
+    The bytes are those of asdict's: the fields hold no dataclass, so the
+    dict is built from them directly, without asdict's recursive copy.
+    """
+    data = {f.name: getattr(report, f.name) for f in fields(report)}
     if solver is not None:
-        data["solver"] = asdict(solver)
+        data["solver"] = {f.name: getattr(solver, f.name) for f in fields(solver)}
     write_json(path, data)

@@ -3,6 +3,7 @@ outputs, and byte-level determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -285,6 +286,19 @@ def test_profile_records_solver_block(profile_dir):
     assert solver["method"] == "LSODA"
     assert solver["xi_span"] == [float(rows[0].split(",")[0]),
                                  float(rows[-1].split(",")[0])]
+
+
+def test_profile_prints_the_rows_it_wrote(tmp_path, capsys):
+    # fig6-c's thinned profile.csv holds fewer rows than the sweep's samples.
+    assert main(["profile", "--preset", "fig6-c", "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    match = re.fullmatch(r"wrote (.+) \((\d+) rows of (\d+) samples, oscillatory\)\n", out)
+    assert match is not None, out
+    data_rows = (tmp_path / "profile.csv").read_text().splitlines()[1:]
+    assert match[1] == str(tmp_path / "profile.csv")
+    assert int(match[2]) == len(data_rows)
+    samples = json.loads((tmp_path / "shape.json").read_text())["solver"]["samples"]
+    assert int(match[3]) == samples > len(data_rows)
 
 
 # ---- speed-amplitude ---------------------------------------------------
@@ -826,3 +840,24 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # main parses with one parser per process; a refused call, --help and a
+    # run with a flag set leave nothing behind for the next call.
+    assert main(["summon"]) == 2
+    assert main(["--help"]) == 0
+    assert main(["profile", "--preset", "fig2", "--rtol", "1e-9",
+                 "--out-dir", str(tmp_path / "tight")]) == 0
+    assert main(["profile", "--preset", "fig2", "--out-dir", str(tmp_path / "cached")]) == 0
+    assert bore_lab.cli._parser() is bore_lab.cli._parser()
+    fresh = ["profile", "--preset", "fig2", "--out-dir", str(tmp_path / "fresh")]
+    args = bore_lab.cli.build_parser().parse_args(fresh)
+    assert args.func(args) == 0
+    capsys.readouterr()
+    tight = json.loads((tmp_path / "tight" / "shape.json").read_text())["solver"]
+    default = json.loads((tmp_path / "fresh" / "shape.json").read_text())["solver"]
+    assert tight != default  # the --rtol run did differ
+    for name in ("profile.csv", "shape.json"):
+        cached = (tmp_path / "cached" / name).read_bytes()
+        assert cached == (tmp_path / "fresh" / name).read_bytes()

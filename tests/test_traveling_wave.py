@@ -1072,3 +1072,16 @@ def test_shape_report_json(tmp_path, osc_shape):
     assert len(loaded["maxima"]) == len(osc_shape.maxima)
     assert loaded["tail_frequency"] == pytest.approx(osc_shape.tail_frequency)
     assert set(asdict(osc_shape)) == set(loaded)
+
+
+@pytest.mark.parametrize("preset", ["fig6-c", "fig2"])
+def test_shape_report_json_bytes(tmp_path, preset):
+    # One oscillatory preset with a long extrema ladder, one monotone.
+    params = WaveParams(*(preset_pairs(preset)[k] for k in ("c", "delta", "epsilon")))
+    profile = integrate_profile(params)
+    report = shape_report(profile)
+    assert bool(report.maxima) == (preset == "fig6-c")
+    path = tmp_path / "shape.json"
+    write_shape_report_json(report, path, profile.solver)
+    expected = json.dumps({**asdict(report), "solver": asdict(profile.solver)}, indent=2)
+    assert path.read_text() == expected + "\n"
