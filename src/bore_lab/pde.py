@@ -8,22 +8,28 @@ elliptic solve removes the third-derivative stiffness so the remaining CFL
 restriction is advective.
 
 Each RK4 stage evaluates the rate in one pass over a workspace cached for
-the last (grid, batch shape).  A padded (3, ..., n + 4) buffer holds the rows
-(-1 - eta) u, eta and u, two ghost cells at each end, mirrored with the
-signs -1, +1, -1 at reflective walls.  The stage input y + h k is written
-into the interior of the adjacent (eta, u) rows with one multiply and one
-add over the (2, ...) block; one five-point stencil pass gives the three
-first differences into that stage's (3, ..., n) rate buffer, and the
-second difference of u is read from the same padded row.  The stencils
-scale by the reciprocals 1/(12 dx) and 1/dx**2, so no pass divides.  Row 0
-of the rate buffer ends as eta_t; row 1 is built into the momentum forcing
+the last (grid, batch shape): ten arrays per cell and batch row.  A padded
+(3, ..., n + 4) buffer holds the rows (-1 - eta) u, eta and u, two ghost
+cells at each end, mirrored with the signs -1, +1, -1 at reflective walls.
+The stage input y + h k is written into the interior of the adjacent
+(eta, u) rows with one multiply and one add over the (2, ...) block; one
+five-point stencil pass gives the three first differences into that
+stage's three rows of a (7, ..., n) rate block, and the second difference
+of u is read from the same padded row.  The stencils scale by the
+reciprocals 1/(12 dx) and 1/dx**2, so no pass divides.  A stage's first
+row ends as eta_t; its second is built into the momentum forcing
 D1 eta + u D1 u and becomes epsilon D2 u - forcing in one subtraction,
-then is solved in place to u_t; row 2 is scratch.  One path serves every
-delta, epsilon >= 0: at delta = 0 the solve applies the identity.
+then is solved in place to u_t; its third is scratch.  Stage j takes rows
+2j to 2j + 2, so its scratch row is the next stage's first, and k4 takes
+k3's rows once k3 is spent.  One path serves every delta, epsilon >= 0:
+at delta = 0 the solve applies the identity.
 
-Every run is one evolve call stepping through step once per dt.  A tuple
+Every run is one march calling step once per dt and yielding the states
+that requested times map to.  evolve copies them as snapshots; a tuple
 epsilon makes a batch: one row per value, sharing grid, step and initial
-data, stepped together with epsilon as an (m, 1) column (error_study).
+data, stepped together with epsilon as an (m, 1) column.  error_study
+marches such a batch and folds each yielded state into one error norm
+per row, so its memory does not grow with the number of snapshot times.
 
 A first-order finite-volume solver for the dispersionless shallow-water
 reduction lives here as well, used as the classical-shock reference.
@@ -35,7 +41,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,10 +72,16 @@ MAX_GRID_CELLS = 2**20
 MAX_CELL_STEPS = 2 * 10**9
 
 # Largest memory a run may hold, in bytes: rows x cells x 8 x
-# (15 + 2 x snapshots), 15 arrays being the RK4 stage workspace per cell
-# and row and 2 the eta and u of each snapshot copy.  About 290 times the
-# 3.7 MB of the acceptance error study, the largest preset or bench run.
+# (10 + 2 x snapshots) for evolve, 10 arrays being the RK4 stage workspace
+# per cell and row and 2 the eta and u of each snapshot copy, and
+# rows x cells x 8 x 10 for error_study, which keeps no snapshot.  About
+# 840 times the 1.28 MB so counted of the acceptance error study, the
+# largest preset or bench run.
 MAX_RUN_BYTES = 2**30
+
+# Arrays per cell and batch row in the RK4 stage workspace (_Stage): the
+# three padded rows and the seven rows of the rate block.
+_WORKSPACE_ARRAYS = 10
 
 # End of RK4's stability interval on the negative real axis (Hairer &
 # Wanner, Solving ODEs II, IV.2).
@@ -317,8 +329,9 @@ class _Stage:
         self.pad = np.empty((3,) + lead + (grid.n + 4,))
         self.y = self.pad[1:, ..., 2:-2]
         self.eta, self.u = self.y
-        # One (3, ...) rate buffer per RK4 stage: eta_t, u_t, scratch.
-        self.k = tuple(np.empty((3,) + shape) for _ in range(4))
+        # The rates of the RK4 stages: stage j's eta_t, u_t and scratch
+        # are rows 2j to 2j + 2 (_rk4_step).
+        self.k = np.empty((7,) + shape)
         # Mirror sign of each row at reflective walls: u is odd, eta even.
         self.parity = np.array([-1.0, 1.0, -1.0]).reshape((3,) + (1,) * len(shape))
 
@@ -344,9 +357,11 @@ class _Stage:
 
 
 # The cached buffers are reused by every call on the same grid and batch
-# shape; the package starts no threads, and this cache assumes none.  Every
-# run uses one grid and one batch shape, so only the last workspace is
-# kept: MAX_RUN_BYTES then bounds the process as well as the run.
+# shape, so this cache assumes one calling thread.  Loading LAPACK for the
+# Helmholtz solve starts OpenBLAS's thread pool, but dpttrs runs on the
+# calling thread, and the package starts no thread of its own.  Every run
+# uses one grid and one batch shape, so only the last workspace is kept:
+# MAX_RUN_BYTES then bounds the process as well as the run.
 @lru_cache(maxsize=1)
 def _stage(grid: Grid, shape: Tuple[int, ...]) -> _Stage:
     return _Stage(grid, shape)
@@ -370,7 +385,7 @@ def semidiscrete_rhs_peregrine(
     stage = _stage(grid, eta.shape)
     stage.eta[...] = eta
     stage.u[...] = u
-    k = stage.k[0]
+    k = stage.k[:3]
     stage.rate(k, delta, epsilon)
     return k[0].copy(), k[1].copy()
 
@@ -432,7 +447,8 @@ class RunConfig:
 def _check_work(config: RunConfig, epsilon: float, rows: int) -> None:
     """Refuse damping beyond RK4's real stability interval, the largest rate
     of epsilon (I - delta D2)^-1 D2 being 4 epsilon / (dx**2 + 4 delta) at
-    any delta >= 0, and runs of more than MAX_CELL_STEPS or MAX_RUN_BYTES."""
+    any delta >= 0, runs of more than MAX_CELL_STEPS, and RK4 workspaces of
+    more than MAX_RUN_BYTES; evolve adds its snapshots (_check_bytes)."""
     damping = config.dt * 4.0 * epsilon / (config.grid.dx**2 + 4.0 * config.delta)
     if damping > _RK4_REAL_LIMIT:
         raise ConfigError(
@@ -446,11 +462,17 @@ def _check_work(config: RunConfig, epsilon: float, rows: int) -> None:
             f"the run takes {cell_steps:.3g} cell-steps (steps x cells x rows), "
             f"over the cell-step budget {MAX_CELL_STEPS:.3g}"
         )
-    snapshots = len(config.snapshot_times) or 1
-    run_bytes = rows * config.grid.n * 8 * (15 + 2 * snapshots)
+    _check_bytes(config, rows, 0)
+
+
+def _check_bytes(config: RunConfig, rows: int, snapshots: int) -> None:
+    """Refuse a run whose RK4 workspace and snapshot copies, the eta and u
+    of each, would hold more than MAX_RUN_BYTES."""
+    run_bytes = rows * config.grid.n * 8 * (_WORKSPACE_ARRAYS + 2 * snapshots)
     if run_bytes > MAX_RUN_BYTES:
         raise ConfigError(
-            f"the run holds {run_bytes:.3g} bytes (rows x cells x 8 x (15 + 2 x snapshots)), "
+            f"the run holds {run_bytes:.3g} bytes (rows x cells x 8 x "
+            f"({_WORKSPACE_ARRAYS} + 2 x {snapshots} snapshots)), "
             f"over the memory budget {MAX_RUN_BYTES} (2**30)"
         )
 
@@ -472,18 +494,23 @@ def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> np.ndarray:
     grid, dt = config.grid, config.dt
     y = np.stack((state.eta, state.u))
     stage = _stage(grid, state.eta.shape)
-    k1, k2, k3, k4 = stage.k
+    # Stage j's rates are rows 2j to 2j + 2 of the block, so its scratch row
+    # is the next stage's first, which that stage has not yet written.
+    k1, k2, k3 = (stage.k[j : j + 3] for j in (0, 2, 4))
     stage.y[...] = y
     stage.rate(k1, config.delta, epsilon)
-    for k, prev, h in ((k2, k1, 0.5 * dt), (k3, k2, 0.5 * dt), (k4, k3, dt)):
+    for k, prev, h in ((k2, k1, 0.5 * dt), (k3, k2, 0.5 * dt), (k3, k3, dt)):
         # Stage input y + h * prev, written straight into the buffer.
         np.multiply(prev[:2], h, out=stage.y)
         stage.y += y
+        if k is prev:
+            # k3 is spent once it is in the stage input and in k2 + k3, so
+            # k4 takes its rows.
+            k2[:2] += k3[:2]
         stage.rate(k, config.delta, epsilon)
-    # Sum k1 + 2 k2 + 2 k3 + k4 into k2 in place, then add it to y, the
+    # Sum ((k2 + k3) 2 + k1) + k4 into k2 in place, then add it to y, the
     # stacked copy of the state: the result never aliases the workspace.
-    k1, k2, k3, k4 = k1[:2], k2[:2], k3[:2], k4[:2]
-    k2 += k3
+    k1, k2, k4 = k1[:2], k2[:2], k3[:2]
     k2 *= 2.0
     k2 += k1
     k2 += k4
@@ -533,7 +560,10 @@ def _checked(y: np.ndarray, t: float, config: RunConfig) -> FieldPair:
     """The state (eta, u) = y, a (2, ...) block, at t, once checked finite,
     then 1 + eta > 0, then dt within cfl_bound."""
     axes = tuple(range(1, y.ndim))
-    (eta_hi, u_hi), (eta_lo, u_lo) = np.max(y, axis=axes), np.min(y, axis=axes)
+    # Read as Python floats, which compare faster than numpy scalars.
+    (eta_hi, u_hi), (eta_lo, u_lo) = (
+        np.max(y, axis=axes).tolist(), np.min(y, axis=axes).tolist()
+    )
     # NaN reaches every extreme, +inf a max, -inf a min.
     if not all(map(math.isfinite, (u_hi, u_lo, eta_hi, eta_lo))):
         raise NumericsError(f"non-finite field values at t = {t:.6g}")
@@ -558,14 +588,16 @@ def step(state: FieldPair, config: RunConfig) -> FieldPair:
     return _checked(_rk4_step(state, config, epsilon), t, config)
 
 
-def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[FieldPair]:
-    """Run to t_end, returning snapshots at the requested times.
+def _march(
+    config: RunConfig, initial: Optional[FieldPair]
+) -> Iterator[Tuple[List[int], FieldPair]]:
+    """Step from the initial state to t_end, yielding (positions, state) at
+    each step that requested times map to.
 
-    Each requested time is mapped to the nearest whole step; with no
-    requested times the final state alone is returned.  Deterministic:
-    the same config always produces bit-identical snapshots, (rows, n) for
-    a batch config.  initial, shaped as the run, replaces the configured
-    initial condition (used to seed a run with a traveling-wave profile).
+    The requested times are config.snapshot_times, or (t_end,) if there are
+    none, and positions indexes them.  Each is mapped to the nearest whole
+    step.  The march writes no yielded state again and drops each at the
+    next step: a caller that keeps one keeps its memory.
     """
     n = config.grid.n
     shape = (len(config.epsilon), n) if isinstance(config.epsilon, tuple) else (n,)
@@ -577,18 +609,35 @@ def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[Field
             raise ValueError(f"initial state has shape {initial.eta.shape}, the run {shape}")
         state = FieldPair(initial.eta, initial.u, 0.0)
     n_total = int(round(config.t_end / config.dt))
-    requested = config.snapshot_times or (config.t_end,)
-    targets = [min(max(int(round(ts / config.dt)), 0), n_total) for ts in requested]
-    wanted = {}
-    for pos, k in enumerate(targets):
-        wanted.setdefault(k, []).append(pos)
-    snapshots: List[Optional[FieldPair]] = [None] * len(targets)
+    wanted: Dict[int, List[int]] = {}
+    for pos, ts in enumerate(config.snapshot_times or (config.t_end,)):
+        wanted.setdefault(min(max(int(round(ts / config.dt)), 0), n_total), []).append(pos)
     _checked(np.stack((state.eta, state.u)), state.t, config)
-    for pos in wanted.get(0, []):
-        snapshots[pos] = state.copy()
+    if 0 in wanted:
+        yield wanted[0], state
     for k in range(1, n_total + 1):
         state = step(state, config)
-        for pos in wanted.get(k, []):
+        if k in wanted:
+            yield wanted[k], state
+
+
+def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[FieldPair]:
+    """Run to t_end, returning snapshots at the requested times.
+
+    Each requested time is mapped to the nearest whole step; with no
+    requested times the final state alone is returned.  Deterministic:
+    the same config always produces bit-identical snapshots, (rows, n) for
+    a batch config.  initial, shaped as the run, replaces the configured
+    initial condition (used to seed a run with a traveling-wave profile).
+    ConfigError, before the first step, if the snapshots would take the
+    run over MAX_RUN_BYTES.
+    """
+    requested = config.snapshot_times or (config.t_end,)
+    rows = len(config.epsilon) if isinstance(config.epsilon, tuple) else 1
+    _check_bytes(config, rows, len(requested))
+    snapshots: List[Optional[FieldPair]] = [None] * len(requested)
+    for positions, state in _march(config, initial):
+        for pos in positions:
             snapshots[pos] = state.copy()
     return snapshots
 
@@ -655,11 +704,13 @@ class ErrorStudyResult:
 def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudyResult:
     """Deviation of dissipative runs from the epsilon = 0 run.
 
-    One evolve() call on base_config with epsilon = (0, *epsilons): the
-    rows of the batch share grid, step and initial data, row 0 being the
-    reference, and each matches a standalone evolve() run of its epsilon.
-    The fitted gain uses the window t >= 1 with y below 10% of the
-    initial-data norm, before the linear law saturates.
+    One march of base_config with epsilon = (0, *epsilons): the rows of the
+    batch share grid, step and initial data, row 0 being the reference,
+    and each matches a standalone evolve() run of its epsilon.  At each
+    snapshot time the rows 1..m are reduced to their error_norm against
+    row 0 at once, so the study holds floats, not snapshots.  The fitted
+    gain uses the window t >= 1 with y below 10% of the initial-data norm,
+    before the linear law saturates.
     """
     if len(epsilons) == 0:
         raise ConfigError("error study needs at least one epsilon")
@@ -667,23 +718,25 @@ def error_study(base_config: RunConfig, epsilons: Sequence[float]) -> ErrorStudy
         raise ConfigError("error-study epsilons must be positive and finite")
     if not base_config.snapshot_times:
         raise ConfigError("error study needs snapshot_times in the base config")
-    snapshots = evolve(replace(base_config, epsilon=(0.0, *epsilons)))
-    reference, *dissipative = (
-        [FieldPair(s.eta[r], s.u[r], s.t) for s in snapshots]
-        for r in range(1 + len(epsilons))
-    )
+    grid = base_config.grid
+    times = np.empty(len(base_config.snapshot_times))
+    ys = np.empty((len(epsilons), times.size))
+    for positions, state in _march(replace(base_config, epsilon=(0.0, *epsilons)), None):
+        reference = FieldPair(state.eta[0], state.u[0], state.t)
+        norms = [
+            error_norm(FieldPair(eta, u, state.t), reference, grid)
+            for eta, u in zip(state.eta[1:], state.u[1:])
+        ]
+        times[positions] = state.t
+        ys[:, positions] = np.array(norms)[:, None]
 
-    init = make_initial(base_config.ic, base_config.grid)
-    zero = FieldPair(np.zeros(base_config.grid.n), np.zeros(base_config.grid.n), 0.0)
-    ic_norm = error_norm(init, zero, base_config.grid)
+    init = make_initial(base_config.ic, grid)
+    zero = FieldPair(np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    ic_norm = error_norm(init, zero, grid)
 
     series = []
     fits = []
-    times = np.array([s.t for s in reference])
-    for eps, snaps in zip(epsilons, dissipative):
-        y = np.array(
-            [error_norm(a, b, base_config.grid) for a, b in zip(snaps, reference)]
-        )
+    for eps, y in zip(epsilons, ys):
         series.append(ErrorSeries(times=times.copy(), y=y, epsilon=float(eps)))
         mask = (times >= 1.0) & (y > 0.0) & (y < 0.1 * ic_norm)
         if not np.any(mask):

@@ -585,7 +585,8 @@ def test_non_finite_or_out_of_range_numbers_exit_2(argv, config, name, tmp_path,
 
 
 # Over the memory budget: 2**20 cells with 60 snapshots (below), and an
-# error study of 7501 rows; both stay inside the cell-step budget.
+# error study of 20001 rows, which holds no snapshot, over 80 steps; both
+# stay inside the cell-step budget.
 MANY_SNAPSHOTS = """\
 kind = evolution
 system = peregrine-dissipative
@@ -608,8 +609,9 @@ snapshot_times = """ + ",".join(f"{i}e-4" for i in range(60)) + "\n"
                       "--out", "{out}.csv"], SMALL_RUN, "100000 rows (the row cap)",
                      id="speed-amplitude-rows"),
         pytest.param(EVOLVE, MANY_SNAPSHOTS, "memory budget", id="evolve-snapshot-bytes"),
-        pytest.param(["error-study", "--config", "{config}", "--epsilons", ",".join(["0.1"] * 7500),
-                      "--out-dir", "{out}"], STUDY_RUN, "memory budget",
+        pytest.param(["error-study", "--config", "{config}",
+                      "--epsilons", ",".join(["0.1"] * 20000), "--out-dir", "{out}"],
+                     with_value(STUDY_RUN, "dt", "0.05"), "memory budget",
                      id="error-study-batch-rows"),
     ],
 )

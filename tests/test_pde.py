@@ -524,32 +524,67 @@ def test_cell_step_budget():
             small_config(dt=dt)
 
 
-def test_snapshot_byte_budget():
-    # 2**20 cells x 8 bytes x (15 + 2 x 56 snapshots) is just inside 2**30,
-    # 57 snapshots just over; 1200 steps stay inside the cell-step budget.
-    assert MAX_GRID_CELLS * 8 * (15 + 2 * 56) <= MAX_RUN_BYTES < MAX_GRID_CELLS * 8 * (15 + 2 * 57)
+class FirstStep(Exception):
+    """Raised by a stand-in for step, to end a run where it would begin."""
+
+
+def test_snapshot_byte_budget(monkeypatch):
+    # evolve on 2**20 cells holds 8 bytes x (10 + 2 x 59 snapshots) per
+    # cell, 2**30 exactly; 60 snapshots are over and refused before the
+    # first step.  Both configs, whose workspace alone is checked, load;
+    # 1200 steps stay inside the cell-step budget.
+    assert MAX_GRID_CELLS * 8 * (10 + 2 * 59) <= MAX_RUN_BYTES < MAX_GRID_CELLS * 8 * (10 + 2 * 60)
+
+    def first_step(state, config):
+        raise FirstStep
+
+    monkeypatch.setattr("bore_lab.pde.step", first_step)
     run = dict(grid=Grid(-8.0, 8.0, MAX_GRID_CELLS, "periodic"), dt=5e-6, t_end=0.006)
-    small_config(snapshot_times=[1e-4 * i for i in range(56)], **run)
+    with pytest.raises(FirstStep):
+        evolve(small_config(snapshot_times=[1e-4 * i for i in range(59)], **run))
     with pytest.raises(ConfigError, match="memory budget"):
-        small_config(snapshot_times=[1e-4 * i for i in range(57)], **run)
+        evolve(small_config(snapshot_times=[1e-4 * i for i in range(60)], **run))
 
 
 def test_batch_row_budget():
-    # A 5-step study on 3200 cells: 10**5 rows are 1.6e9 cell-steps, inside
-    # that budget, but 4.4e10 bytes; the cap falls between 2467 and 2468 rows.
-    base = small_config(grid=Grid(-400.0, 400.0, 3200, "periodic"), t_end=0.125,
-                        snapshot_times=(0.125,))
-    assert 2467 * 3200 * 8 * 17 <= MAX_RUN_BYTES < 2468 * 3200 * 8 * 17
-    with pytest.raises(ConfigError, match="memory budget"):
-        error_study(base, [0.1] * (10**5 - 1))
-    with pytest.raises(ConfigError, match="memory budget"):
-        error_study(base, [0.1] * 2467)
+    # A 5-step study on 3200 cells holds the workspace alone, whatever its
+    # snapshot times: 10**5 rows are 1.6e9 cell-steps, inside that budget,
+    # but 2.6e10 bytes; the cap falls between 4194 and 4195 rows.
+    assert 4194 * 3200 * 8 * 10 <= MAX_RUN_BYTES < 4195 * 3200 * 8 * 10
+    for snapshots in (1, 6):
+        base = small_config(grid=Grid(-400.0, 400.0, 3200, "periodic"), t_end=0.125,
+                            snapshot_times=[0.125 - 0.025 * i for i in range(snapshots)])
+        with pytest.raises(ConfigError, match="memory budget"):
+            error_study(base, [0.1] * (10**5 - 1))
+        with pytest.raises(ConfigError, match=r"\(10 \+ 2 x 0 snapshots\)\), over the memory"):
+            error_study(base, [0.1] * 4194)
+
+
+def test_error_study_memory_does_not_grow_with_snapshot_times():
+    # Each snapshot is folded into its norms at once: 40 snapshot times
+    # cost less than one more (rows, n) array than 4 do, where keeping the
+    # snapshots would cost 72 more.  Each run is measured after a first
+    # one, so that both find the workspace cached.
+    cfg = small_config(t_end=4.0)
+    epsilons = [0.1, 0.05]
+    peaks = []
+    for count in (4, 40):
+        run = replace(cfg, snapshot_times=[4.0 * (i + 1) / count for i in range(count)])
+        error_study(run, epsilons)
+        tracemalloc.start()
+        try:
+            error_study(run, epsilons)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < (1 + len(epsilons)) * cfg.grid.n * 8
 
 
 def test_runs_on_two_grids_leave_one_workspace():
-    # The RK4 workspace (15 arrays per cell) and the Helmholtz factorization
+    # The RK4 workspace (10 arrays per cell) and the Helmholtz factorization
     # (3 more) of the last run stay cached, those of earlier runs do not:
-    # after runs on 2**14 and 2**15 cells the process holds the second's.
+    # after runs on 2**14 and 2**15 cells the process holds the second's,
+    # 13 arrays of 2**15 cells and the ghost cells, less than 14 of them.
     evolve(small_config(t_end=0.05))  # modules loaded before tracing
     tracemalloc.start()
     try:
@@ -561,7 +596,7 @@ def test_runs_on_two_grids_leave_one_workspace():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert 15 * 8 * 2**15 <= held < 18 * 8 * (2**15 + 2**14)
+    assert 13 * 8 * 2**15 <= held < 14 * 8 * 2**15
 
 
 def test_cfl_bound_formula():
@@ -959,6 +994,68 @@ def test_exact_shock_propagates_at_its_speed():
         g.x < front_position(late, g, eta0 / 2) - 10.0
     )
     assert np.max(np.abs(late.eta[behind] - eta0)) < 0.02 * eta0
+
+
+# ---- exact viscous shock -----------------------------------------------
+
+
+def viscous_shock(xi, c, epsilon):
+    """Taylor's viscous shock (Whitham, Linear and Nonlinear Waves, ch. 2):
+    (eta, u) of the exact traveling wave of the PDE at delta = 0, at
+    xi = x - c t, with u = u_tail at -inf, 0 at +inf and u_tail / 2 at 0.
+
+    epsilon u' = -F(u), F(u) = -u (u - um)(u - up) / (2 (u - c)), with
+    um = u_tail, um + up = 3c and um up = 2 (c**2 - 1), integrates to
+    xi(u) = epsilon (A ln u + B ln(um - u) + C ln(up - u)) + const, which
+    falls as u rises.  It is inverted by bisection in s = ln(u / (um - u)),
+    in which both logarithms near the tails stay exact.  The mass equation
+    gives eta = u / (c - u).
+    """
+    root = math.sqrt(c * c + 8.0)
+    um, up = 0.5 * (3.0 * c - root), 0.5 * (3.0 * c + root)
+    a = -c / (c * c - 1.0)
+    b = 2.0 * (um - c) / (um * (um - up))
+    cc = 2.0 * (up - c) / (up * (up - um))
+
+    def ln_u(s):
+        return math.log(um) - np.logaddexp(0.0, -s)
+
+    def position(s):
+        ln_gap = math.log(um) - np.logaddexp(0.0, s)
+        return epsilon * (a * ln_u(s) + b * ln_gap + cc * np.log(up - np.exp(ln_u(s))))
+
+    target = np.asarray(xi, dtype=float) + position(0.0)
+    lo, hi = np.full(target.shape, -800.0), np.full(target.shape, 800.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        ahead = position(mid) > target
+        lo, hi = np.where(ahead, mid, lo), np.where(ahead, hi, mid)
+    u = np.exp(ln_u(0.5 * (lo + hi)))
+    return u / (c - u), u
+
+
+def test_pde_carries_the_exact_viscous_shock_at_delta_0():
+    # The closed form on a periodic [-200, 200], ramped to rest left of
+    # x = -150 for the wrap, run to t = 2 with dt = dx**2 / 2 (the damping
+    # bound's 2.785 dx**2 / (4 epsilon), less a margin), against the
+    # translated closed form on |x| <= 100, which nothing from the ramp
+    # reaches.  Second order in dx: 4.82e-5 and 1.22e-5 (ratio 3.94).
+    c, epsilon = 1.3, 1.2
+    assert viscous_shock(-200.0, c, epsilon) == pytest.approx(shock_state(c), rel=1e-12)
+    errors = []
+    for dx in (0.25, 0.125):
+        grid = Grid(-200.0, 200.0, round(400.0 / dx), "periodic")
+        ramp = 0.5 * (1.0 + np.tanh((grid.x + 150.0) / 5.0))
+        eta, u = viscous_shock(grid.x, c, epsilon)
+        cfg = RunConfig("peregrine-dissipative", grid, SmoothedRiemann(float(eta[0])),
+                        0.5 * dx * dx, 2.0, delta=0.0, epsilon=epsilon)
+        (end,) = evolve(cfg, initial=FieldPair(eta * ramp, u * ramp))
+        eta, u = viscous_shock(grid.x - c * end.t, c, epsilon)
+        near = np.abs(grid.x) <= 100.0
+        d_eta, d_u = (end.eta - eta)[near], (end.u - u)[near]
+        errors.append(math.sqrt(dx * float(np.dot(d_eta, d_eta) + np.dot(d_u, d_u))))
+    assert errors[0] / errors[1] >= 3.5
+    assert errors[1] <= 2e-5
 
 
 # ---- profile injection and front tracking ------------------------------
