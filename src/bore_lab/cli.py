@@ -17,6 +17,7 @@ byte-identical results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -36,9 +37,13 @@ from .config import (
 )
 from .csvio import read_csv, write_csv, write_json
 from .errors import ConfigError, NumericsError
+# cmd_evolve marches each run itself; evolve stays importable here because
+# bench/tracing.py wraps cli.evolve.
 from .pde import (
     RunConfig,
     SystemKind,
+    _check_bytes,
+    _march,
     evolve,
     error_study,
     write_error_series_csv,
@@ -199,20 +204,50 @@ def _evolve_plot(n_snapshots: int, prefix: str) -> str:
 
 
 def cmd_evolve(args) -> int:
+    """Run the config, and its shallow-water reference if asked, writing
+    each snapshot's files as the march reaches it.
+
+    Every input is checked before --out-dir is made; if a run then fails,
+    the files written and the directories made are removed again."""
     config = _load_run_config(args.config)
-    snapshots = evolve(config)
-    runs = [("snapshot", config, snapshots)]
+    n_snapshots = len(config.snapshot_times or (config.t_end,))
+    # Refused as evolve() refuses it, though no snapshot is kept.
+    _check_bytes(config, 1, n_snapshots)
+    runs = [("snapshot", config)]
     if args.reference is not None:
         ref_config = replace(config, system=SystemKind.SHALLOW_WATER, delta=0.0, epsilon=0.0)
-        runs.append(("reference", ref_config, evolve(ref_config)))
+        runs.append(("reference", ref_config))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for prefix, run_config, snaps in runs:
-        for i, snap in enumerate(snaps):
-            write_snapshot_csv(snap, config.grid, out_dir / f"{prefix}_{i:03d}.csv")
-            write_snapshot_manifest(run_config, snap, out_dir / f"{prefix}_{i:03d}.json")
-    (out_dir / "plot.gp").write_text(_evolve_plot(len(snapshots), "snapshot"))
-    print(f"wrote {len(snapshots)} snapshots to {out_dir}")
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    # Which (run, position) files were begun: kept as flags, not paths, so
+    # that what a run holds does not grow with its snapshot times.
+    begun = np.zeros((len(runs), n_snapshots), dtype=bool)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "plot.gp").write_text(_evolve_plot(n_snapshots, "snapshot"))
+        for r, (prefix, run_config) in enumerate(runs):
+            for positions, state in _march(run_config, None):
+                for i in positions:
+                    begun[r, i] = True
+                    write_snapshot_csv(state, config.grid, out_dir / f"{prefix}_{i:03d}.csv")
+                    write_snapshot_manifest(run_config, state, out_dir / f"{prefix}_{i:03d}.json")
+                # Written, so dropped: the march's next steps need not hold it.
+                del state
+    except BaseException:
+        files = [out_dir / "plot.gp"] + [
+            out_dir / f"{runs[r][0]}_{i:03d}.{suffix}"
+            for r, i in np.argwhere(begun).tolist() for suffix in ("csv", "json")
+        ]
+        # Each removal is best effort, so that the run's own error is the
+        # one reported.
+        for path in files:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+    print(f"wrote {n_snapshots} snapshots to {out_dir}")
     return 0
 
 

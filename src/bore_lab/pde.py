@@ -8,7 +8,7 @@ elliptic solve removes the third-derivative stiffness so the remaining CFL
 restriction is advective.
 
 Each RK4 stage evaluates the rate in one pass over a workspace cached for
-the last (grid, batch shape): ten arrays per cell and batch row.  A padded
+the run's (grid, batch shape): ten arrays per cell and batch row.  A padded
 (3, ..., n + 4) buffer holds the rows (-1 - eta) u, eta and u, two ghost
 cells at each end, mirrored with the signs -1, +1, -1 at reflective walls.
 The stage input y + h k is written into the interior of the adjacent
@@ -25,11 +25,15 @@ k3's rows once k3 is spent.  One path serves every delta, epsilon >= 0:
 at delta = 0 the solve applies the identity.
 
 Every run is one march calling step once per dt and yielding the states
-that requested times map to.  evolve copies them as snapshots; a tuple
-epsilon makes a batch: one row per value, sharing grid, step and initial
-data, stepped together with epsilon as an (m, 1) column.  error_study
-marches such a batch and folds each yielded state into one error norm
-per row, so its memory does not grow with the number of snapshot times.
+that requested times map to.  evolve copies them as snapshots; the
+`evolve` command instead writes each to its files as it is yielded.  A
+tuple epsilon makes a batch: one row per value, sharing grid, step and
+initial data, stepped together with epsilon as an (m, 1) column.
+error_study marches such a batch and folds each yielded state into one
+error norm per row.  So neither command's memory grows with the number
+of snapshot times.  A march releases the cached workspace and Helmholtz
+factorization when it ends: a process holds one run's at most, and none
+between runs.
 
 A first-order finite-volume solver for the dispersionless shallow-water
 reduction lives here as well, used as the classical-shock reference.
@@ -74,9 +78,11 @@ MAX_CELL_STEPS = 2 * 10**9
 # Largest memory a run may hold, in bytes: rows x cells x 8 x
 # (10 + 2 x snapshots) for evolve, 10 arrays being the RK4 stage workspace
 # per cell and row and 2 the eta and u of each snapshot copy, and
-# rows x cells x 8 x 10 for error_study, which keeps no snapshot.  About
-# 840 times the 1.28 MB so counted of the acceptance error study, the
-# largest preset or bench run.
+# rows x cells x 8 x 10 for error_study, which keeps no snapshot.  The
+# evolve command keeps none either, writing each as it is reached, but is
+# refused as evolve would be: there the snapshot term caps what it writes.
+# About 840 times the 1.28 MB so counted of the acceptance error study,
+# the largest preset or bench run.
 MAX_RUN_BYTES = 2**30
 
 # Arrays per cell and batch row in the RK4 stage workspace (_Stage): the
@@ -297,8 +303,8 @@ class _HelmholtzSolver:
         return z
 
 
-# Every run factors one (delta, grid); only the last factorization is kept,
-# so a process holds one, whatever the runs before it.
+# Every run factors one (delta, grid), kept while its march runs (_march
+# releases it), so a process holds one at most, whatever the runs before it.
 @lru_cache(maxsize=1)
 def _helmholtz(delta: float, grid: Grid) -> _HelmholtzSolver:
     return _HelmholtzSolver(delta, grid)
@@ -360,8 +366,10 @@ class _Stage:
 # shape, so this cache assumes one calling thread.  Loading LAPACK for the
 # Helmholtz solve starts OpenBLAS's thread pool, but dpttrs runs on the
 # calling thread, and the package starts no thread of its own.  Every run
-# uses one grid and one batch shape, so only the last workspace is kept:
-# MAX_RUN_BYTES then bounds the process as well as the run.
+# uses one grid and one batch shape, so one workspace is kept, and only
+# while the run's march lasts (_march releases it): MAX_RUN_BYTES then
+# bounds the process as well as the run, and a process between runs holds
+# no workspace.
 @lru_cache(maxsize=1)
 def _stage(grid: Grid, shape: Tuple[int, ...]) -> _Stage:
     return _Stage(grid, shape)
@@ -597,7 +605,9 @@ def _march(
     The requested times are config.snapshot_times, or (t_end,) if there are
     none, and positions indexes them.  Each is mapped to the nearest whole
     step.  The march writes no yielded state again and drops each at the
-    next step: a caller that keeps one keeps its memory.
+    next step: a caller that keeps one keeps its memory.  When the march
+    ends, finished, failed or closed, it releases the cached RK4 workspace
+    and Helmholtz factorization.
     """
     n = config.grid.n
     shape = (len(config.epsilon), n) if isinstance(config.epsilon, tuple) else (n,)
@@ -612,13 +622,20 @@ def _march(
     wanted: Dict[int, List[int]] = {}
     for pos, ts in enumerate(config.snapshot_times or (config.t_end,)):
         wanted.setdefault(min(max(int(round(ts / config.dt)), 0), n_total), []).append(pos)
-    _checked(np.stack((state.eta, state.u)), state.t, config)
-    if 0 in wanted:
-        yield wanted[0], state
-    for k in range(1, n_total + 1):
-        state = step(state, config)
-        if k in wanted:
-            yield wanted[k], state
+    try:
+        _checked(np.stack((state.eta, state.u)), state.t, config)
+        if 0 in wanted:
+            yield wanted[0], state
+        for k in range(1, n_total + 1):
+            state = step(state, config)
+            if k in wanted:
+                yield wanted[k], state
+    finally:
+        # The run's workspace and factorization go with it, so no run
+        # shares the process with another's: a reference run after an RK4
+        # run holds none, nor does a process between runs.
+        _stage.cache_clear()
+        _helmholtz.cache_clear()
 
 
 def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[FieldPair]:

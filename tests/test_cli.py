@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,12 @@ import bore_lab.cli
 from bore_lab.cli import main
 from bore_lab.config import build_wave_params, load_config, preset_pairs
 from bore_lab.errors import NumericsError
+from bore_lab.pde import (
+    SystemKind,
+    evolve,
+    write_snapshot_csv,
+    write_snapshot_manifest,
+)
 from bore_lab.traveling_wave import csv_rows, integrate_profile
 from bore_lab.waveform import (
     WaveParams,
@@ -133,15 +141,16 @@ def test_import_loads_no_scipy():
 
 # After a command, a later public import of the package must reuse the
 # module the command loaded from its file: for LAPACK, the very dpttrf and
-# dpttrs the run's Helmholtz solver took.
+# dpttrs a Helmholtz solver takes.  The command's own solver is gone by
+# then: each run's march releases it when it ends.
 LAPACK_IDENTITY = """\
 from bore_lab import pde
 from bore_lab.config import load_config
 from scipy.linalg import lapack
 config = load_config(sys.argv[1])
-misses = pde._helmholtz.cache_info().misses
+released = pde._helmholtz.cache_info().currsize == 0
 solver = pde._helmholtz(config.delta, config.grid)
-same = [pde._helmholtz.cache_info().misses == misses,
+same = [released,
         solver._dpttrs is lapack.dpttrs,
         sys.modules["scipy.linalg._flapack"].dpttrf is lapack.dpttrf]
 """
@@ -404,23 +413,88 @@ def test_evolve_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_evolve_failing_reference_leaves_no_directory(tmp_path, capsys, monkeypatch):
-    # Both runs finish before --out-dir is made, as in profile and error-study.
-    evolve = bore_lab.cli.evolve
+    # The reference run fails at its first step, after every snapshot of
+    # the first run and the reference's t = 0 one are written: all are
+    # removed again, and --out-dir with them.
+    step = bore_lab.pde.step
     calls = []
 
-    def evolve_then_fail(config):
-        calls.append(config.system.value)
-        if len(calls) == 2:
+    def step_or_fail(state, config):
+        if config.system.value not in calls:
+            calls.append(config.system.value)
+        if config.system is SystemKind.SHALLOW_WATER:
             raise NumericsError("reference run failed")
-        return evolve(config)
+        return step(state, config)
 
-    monkeypatch.setattr(bore_lab.cli, "evolve", evolve_then_fail)
+    monkeypatch.setattr(bore_lab.pde, "step", step_or_fail)
     conf = write_small_config(tmp_path)
     assert main(["evolve", "--config", conf, "--out-dir", str(tmp_path / "o"),
                  "--reference", "shallow-water"]) == 3
     assert "reference run failed" in capsys.readouterr().err
     assert calls == ["peregrine-dissipative", "shallow-water"]
     assert not (tmp_path / "o").exists()
+
+
+def test_evolve_streams_the_files_evolve_snapshots_give(tmp_path, capsys):
+    # Two positions share step 0: each gets its own files of one state.
+    text = SMALL_RUN.replace("snapshot_times = 0,3,6", "snapshot_times = 0,0,3,6")
+    conf = write_small_config(tmp_path, text)
+    out, expected = tmp_path / "out", tmp_path / "expected"
+    assert main(["evolve", "--config", conf, "--out-dir", str(out),
+                 "--reference", "shallow-water"]) == 0
+    capsys.readouterr()
+    config = load_config(conf)
+    ref_config = replace(config, system=SystemKind.SHALLOW_WATER, delta=0.0, epsilon=0.0)
+    expected.mkdir()
+    for prefix, run_config in (("snapshot", config), ("reference", ref_config)):
+        for i, snap in enumerate(evolve(run_config)):
+            write_snapshot_csv(snap, config.grid, expected / f"{prefix}_{i:03d}.csv")
+            write_snapshot_manifest(run_config, snap, expected / f"{prefix}_{i:03d}.json")
+    names = sorted(p.name for p in expected.iterdir())
+    assert len(names) == 16
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["plot.gp"])
+    for name in names:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_evolve_memory_does_not_grow_with_snapshot_times(tmp_path, capsys, monkeypatch):
+    # Each snapshot is handed to the writers when the march reaches it and
+    # dropped: 40 snapshot times, in both runs, cost less than one snapshot
+    # more than 2 do, where keeping them would cost 2 x 38 snapshots more.
+    # The writers are stand-ins that keep nothing, so that the peak is what
+    # the command holds (the test above checks the real files).  What does
+    # grow, the map from steps to positions and the parsed times, read
+    # under 2 kB, against 51 kB for one snapshot on these 3200 cells.
+    calls = [0]
+
+    def count(*args):
+        calls[0] += 1
+
+    monkeypatch.setattr(bore_lab.cli, "write_snapshot_csv", count)
+    monkeypatch.setattr(bore_lab.cli, "write_snapshot_manifest", count)
+    text = (SMALL_RUN.replace("dx = 0.25", "dx = 0.0625").replace("dt = 0.025", "dt = 0.0125")
+            .replace("t_end = 6", "t_end = 0.5"))
+    peaks = []
+    for count_times in (2, 40):
+        times = ",".join(f"{0.5 * i / (count_times - 1):.17g}" for i in range(count_times))
+        conf = write_small_config(
+            tmp_path, text.replace("snapshot_times = 0,3,6", f"snapshot_times = {times}"))
+        argv = ["evolve", "--config", conf, "--out-dir", str(tmp_path / f"o{count_times}"),
+                "--reference", "shallow-water"]
+        if not peaks:
+            assert main(argv) == 0  # modules loaded and parser built before tracing
+        calls[0] = 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert calls[0] == 2 * 2 * count_times
+    capsys.readouterr()
+    n = load_config(conf).grid.n
+    assert n == 3200
+    assert abs(peaks[1] - peaks[0]) < 2 * n * 8, peaks
 
 
 def test_evolve_horizon_check(tmp_path, capsys):
@@ -453,15 +527,47 @@ def test_evolve_damping_bound(tmp_path, capsys):
     assert "RK4 damping bound" in capsys.readouterr().err
 
 
+# dt passes the initial screen; the crests behind the front break the
+# bound near t = 1.7 (see test_pde's check at every step).
+MID_RUN_BREACH = (SMALL_RUN.replace("dx = 0.25", "dx = 0.5\nboundary = reflective")
+                  .replace("dt = 0.025", "dt = 0.19").replace("t_end = 6", "t_end = 30")
+                  .replace("snapshot_times = 0,3,6", "snapshot_times = 30"))
+
+
 def test_evolve_cfl_breach_mid_run_exits_3(tmp_path, capsys):
-    # dt passes the initial screen; the crests behind the front break the
-    # bound near t = 1.7 (see test_pde's check at every step).
-    text = (SMALL_RUN.replace("dx = 0.25", "dx = 0.5\nboundary = reflective")
-            .replace("dt = 0.025", "dt = 0.19").replace("t_end = 6", "t_end = 30")
-            .replace("snapshot_times = 0,3,6", "snapshot_times = 30"))
-    conf = write_small_config(tmp_path, text)
+    conf = write_small_config(tmp_path, MID_RUN_BREACH)
     assert main(["evolve", "--config", conf, "--out-dir", str(tmp_path / "o")]) == 3
     assert "fell below dt = 0.19" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+def test_evolve_breach_after_a_written_snapshot_removes_it(tmp_path, capsys, monkeypatch,
+                                                           existing):
+    # The t = 0 snapshot is written before the breach near t = 1.7.  The
+    # failed run removes it, and the directories it made (here two levels);
+    # a directory that was there stays, with what it held.
+    conf = write_small_config(
+        tmp_path, MID_RUN_BREACH.replace("snapshot_times = 30", "snapshot_times = 0,30"))
+    write = bore_lab.cli.write_snapshot_csv
+    written = []
+
+    def write_and_record(state, grid, path):
+        written.append(state.t)
+        write(state, grid, path)
+
+    monkeypatch.setattr(bore_lab.cli, "write_snapshot_csv", write_and_record)
+    out = tmp_path / "new" / "o"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "notes.txt").write_text("unrelated\n")
+    assert main(["evolve", "--config", conf, "--out-dir", str(out)]) == 3
+    assert "fell below dt = 0.19" in capsys.readouterr().err
+    assert written == [0.0]
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "unrelated\n"
+    else:
+        assert not (tmp_path / "new").exists()
 
 
 def test_evolve_rejects_profile_config(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bore_lab import pde
 from bore_lab.csvio import write_csv
 from bore_lab.errors import ConfigError, NumericsError
 from bore_lab.pde import (
@@ -580,11 +581,33 @@ def test_error_study_memory_does_not_grow_with_snapshot_times():
     assert abs(peaks[1] - peaks[0]) < (1 + len(epsilons)) * cfg.grid.n * 8
 
 
+def test_runs_leave_no_workspace_cached(monkeypatch):
+    # Each march releases its RK4 workspace and Helmholtz factorization
+    # when it ends, so neither outlives the run that built it, failed
+    # runs included.
+    def released():
+        return (pde._stage.cache_info().currsize, pde._helmholtz.cache_info().currsize) == (0, 0)
+
+    evolve(small_config(t_end=0.05))
+    assert released()
+    error_study(small_config(t_end=1.0, snapshot_times=[1.0]), [0.1])
+    assert released()
+
+    def step_then_fail(state, config):
+        step(state, config)
+        raise NumericsError("failed after one step")
+
+    monkeypatch.setattr(pde, "step", step_then_fail)
+    with pytest.raises(NumericsError, match="after one step"):
+        evolve(small_config(t_end=0.05))
+    assert released()
+
+
 def test_runs_on_two_grids_leave_one_workspace():
     # The RK4 workspace (10 arrays per cell) and the Helmholtz factorization
-    # (3 more) of the last run stay cached, those of earlier runs do not:
-    # after runs on 2**14 and 2**15 cells the process holds the second's,
-    # 13 arrays of 2**15 cells and the ghost cells, less than 14 of them.
+    # (3 more) of a run are released when its march ends: after runs on
+    # 2**14 and 2**15 cells the process holds less than one array of
+    # 2**15 cells, where keeping the last run's would hold 13.
     evolve(small_config(t_end=0.05))  # modules loaded before tracing
     tracemalloc.start()
     try:
@@ -596,7 +619,7 @@ def test_runs_on_two_grids_leave_one_workspace():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert 13 * 8 * 2**15 <= held < 14 * 8 * 2**15
+    assert held < 8 * 2**15
 
 
 def test_cfl_bound_formula():
