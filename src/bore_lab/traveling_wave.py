@@ -51,7 +51,8 @@ inflections and the front crossing are roots of piecewise cubic Hermite
 interpolants (Hairer, Norsett & Wanner, Solving ODEs I, II.6) of the
 stored samples, each found by a safeguarded Newton iteration on its
 bracket: fourth order in the spacing, and shape_report needs no solver,
-only a Profile.
+only a Profile.  hermite_interpolate evaluates the same interpolant for
+pde.sample_profile_on_grid and pde.shape_misfit.
 """
 
 from __future__ import annotations
@@ -559,6 +560,13 @@ def _hermite_value(x, y, dy, i, xq):
     k = (dy[i] + dy[i + 1] - 2.0 * slope) / h
     s = xq - x[i]
     return y[i] + dy[i] * s + ((slope - dy[i]) / h - k) * (s * s) + k / h * (s * s * s)
+
+
+def hermite_interpolate(x, y, dy, xq):
+    """Piecewise cubic Hermite of (y, dy) on ascending x at xq, held at the ends."""
+    xq = np.clip(xq, x[0], x[-1])
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    return _hermite_value(x, y, dy, i, xq)
 
 
 def _zeros(x, y, dy, mask):

@@ -128,8 +128,9 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported at first use; a module-level import would add its
-    # start-up (~0.6 s for scipy.interpolate) to every command.
+    # scipy is imported at first use, and then only a compiled module
+    # (see bore_lab._scipy); a module-level import of a scipy package
+    # would add its start-up (~0.4 s for scipy.integrate) to every command.
     out = _run_python(
         "-c",
         "import sys, bore_lab, bore_lab.cli; "
@@ -194,10 +195,45 @@ def test_commands_load_no_scipy_package_init(tmp_path, argv, module, identity):
     assert out.returncode == 0, out.stderr
     code, loaded, same = json.loads(out.stdout.splitlines()[-1])
     assert code == 0
-    assert module in loaded
-    for package in ("linalg", "sparse", "special", "optimize", "integrate", "interpolate"):
-        assert not [m for m in loaded if m.split(".")[1:2] == [package] and m != module], package
+    assert_only_compiled_scipy(loaded, [module])
     assert same and all(same), same
+
+
+def assert_only_compiled_scipy(loaded, modules):
+    """Each of modules is among the loaded scipy modules, and no other
+    module of scipy.linalg, sparse, special, optimize, integrate or
+    interpolate is: none of their package inits ran."""
+    assert set(modules) <= set(loaded), loaded
+    for package in ("linalg", "sparse", "special", "optimize", "integrate", "interpolate"):
+        assert not [m for m in loaded if m.split(".")[1:2] == [package] and m not in modules], package
+
+
+def test_profile_injection_loads_no_scipy_package_init():
+    # The library path that carries a computed profile through the PDE
+    # (c07) interpolates in numpy: it loads LSODA's and LAPACK's compiled
+    # modules and no scipy package init.
+    script = (
+        "import json, sys\n"
+        "from bore_lab.pde import (Grid, RunConfig, SmoothedRiemann, evolve,\n"
+        "                          sample_profile_on_grid, shape_misfit)\n"
+        "from bore_lab.traveling_wave import integrate_profile\n"
+        "from bore_lab.waveform import WaveParams\n"
+        "params = WaveParams(1.3, 0.2, 1.2)\n"
+        "profile = integrate_profile(params)\n"
+        "g = Grid(-100.0, 100.0, 800, 'periodic')\n"
+        "cfg = RunConfig('peregrine-dissipative', g, SmoothedRiemann(0.4, 2.0), 0.025, 0.25,\n"
+        "                delta=params.delta, epsilon=params.epsilon)\n"
+        "init = sample_profile_on_grid(profile, g, blend_center=-50.0)\n"
+        "final = evolve(cfg, initial=init)[-1]\n"
+        "misfit = shape_misfit(init, final, g, shift=params.c * 0.25, window=(-20.0, 20.0))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([misfit, loaded]))\n"
+    )
+    out = _run_python("-c", script)
+    assert out.returncode == 0, out.stderr
+    misfit, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert 0.0 < misfit < 1e-2
+    assert_only_compiled_scipy(loaded, ["scipy.integrate._odepack", "scipy.linalg._flapack"])
 
 
 @pytest.mark.parametrize(

@@ -581,6 +581,26 @@ def test_error_study_memory_does_not_grow_with_snapshot_times():
     assert abs(peaks[1] - peaks[0]) < (1 + len(epsilons)) * cfg.grid.n * 8
 
 
+def test_error_study_holds_no_state_between_snapshot_times():
+    # Once its norms are stored, a batch state is dropped: a snapshot time
+    # before t_end costs no more than t_end alone, where keeping the state
+    # while the march steps on would hold one (1 + m) x n x 2 block more.
+    cfg = small_config(grid=Grid(-400.0, 400.0, 3200, "periodic"))
+    epsilons = [0.1, 0.05]
+    peaks = []
+    for times in ((2.0,), (1.0, 2.0)):
+        run = replace(cfg, snapshot_times=times)
+        error_study(run, epsilons)
+        tracemalloc.start()
+        try:
+            error_study(run, epsilons)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block = (1 + len(epsilons)) * cfg.grid.n * 2 * 8
+    assert peaks[1] - peaks[0] < block / 4
+
+
 def test_runs_leave_no_workspace_cached(monkeypatch):
     # Each march releases its RK4 workspace and Helmholtz factorization
     # when it ends, so neither outlives the run that built it, failed

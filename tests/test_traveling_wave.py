@@ -819,6 +819,13 @@ def test_hermite_roots_are_scipys(params, monkeypatch):
     crests = sorted(report.maxima + report.minima)
     locs = np.array([loc for loc, _ in crests])
     assert [val for _, val in crests] == CubicHermiteSpline(prof.xi, prof.u, du)(locs).tolist()
+    # hermite_interpolate, which carries profiles into the PDE: scipy's
+    # values on the sampled span, knots and both ends included, and the end
+    # values beyond it.
+    xi = prof.xi
+    q = np.concatenate([[xi[0] - 5.0], np.linspace(xi[0], xi[-1], 1001), xi[::7], [xi[-1] + 5.0]])
+    held = CubicHermiteSpline(xi, prof.u, du)(np.clip(q, xi[0], xi[-1]))
+    assert traveling_wave.hermite_interpolate(xi, prof.u, du, q).tolist() == held.tolist()
 
 
 @pytest.mark.parametrize("roots", [(0.2, 0.5, 0.8), (0.3, 0.6, 0.95), (0.3, 0.31, 0.32)])
