@@ -16,7 +16,7 @@ import math
 from typing import Dict, Tuple, Union
 
 from .errors import ConfigError
-from .pde import Gaussian, Grid, RunConfig, SmoothedRiemann, SystemKind
+from .pde import MAX_GRID_CELLS, Gaussian, Grid, RunConfig, SmoothedRiemann, SystemKind
 from .waveform import WaveParams
 
 _PROFILE_KEYS = {"kind", "c", "delta", "epsilon"}
@@ -207,7 +207,10 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     dx = _take_float(pairs, "dx", 0.25)
     if not dx > 0.0:
         raise ConfigError(f"dx must be positive, got {dx}")
-    n = int(round((x_max - x_min) / dx))
+    cells = (x_max - x_min) / dx
+    if not abs(cells) < MAX_GRID_CELLS + 0.5:  # also inf, which int() cannot take
+        raise ConfigError(f"grid needs n <= {MAX_GRID_CELLS} (2**20), got {cells:.3g}")
+    n = int(round(cells))
     if abs(n * dx - (x_max - x_min)) > 1e-9 * max(1.0, abs(x_max - x_min)):
         raise ConfigError(f"dx = {dx} does not divide [{x_min}, {x_max}] evenly")
     boundary = pairs.pop("boundary", "periodic")

@@ -8,7 +8,8 @@ elliptic solve removes the third-derivative stiffness so the remaining CFL
 restriction is advective.
 
 Each RK4 stage evaluates the rate in one pass over a workspace cached for
-the run's (grid, batch shape): ten arrays per cell and batch row.  A padded
+the run's (grid, batch shape, delta, epsilon): ten arrays per cell and
+batch row, the Helmholtz factorization and epsilon.  A padded
 (3, ..., n + 4) buffer holds the rows (-1 - eta) u, eta and u, two ghost
 cells at each end, mirrored with the signs -1, +1, -1 at reflective walls.
 The stage input y + h k is written into the interior of the adjacent
@@ -28,11 +29,11 @@ Every run is one march calling step once per dt and yielding the states
 that requested times map to.  evolve copies them as snapshots; the
 `evolve` command instead writes each to its files as it is yielded.  A
 tuple epsilon makes a batch: one row per value, sharing grid, step and
-initial data, stepped together with epsilon as an (m, 1) column.
-error_study marches such a batch and folds each yielded state into one
-error norm per row.  So neither command's memory grows with the number
-of snapshot times.  A march releases the cached workspace and Helmholtz
-factorization when it ends: a process holds one run's at most, and none
+initial data, stepped together with epsilon as an (m, 1) column that the
+workspace builds once.  error_study marches such a batch and folds each
+yielded state into one error norm per row.  So neither command's memory
+grows with the number of snapshot times.  A march releases the cached
+workspace when it ends: a process holds one run's at most, and none
 between runs.
 
 A first-order finite-volume solver for the dispersionless shallow-water
@@ -82,8 +83,9 @@ MAX_CELL_STEPS = 2 * 10**9
 # rows x cells x 8 x 10 for error_study, which keeps no snapshot.  The
 # evolve command keeps none either, writing each as it is reached, but is
 # refused as evolve would be: there the snapshot term caps what it writes.
-# About 840 times the 1.28 MB so counted of the acceptance error study,
-# the largest preset or bench run.
+# The workspace's Helmholtz factorization, 3n doubles whatever the rows,
+# lies outside this count.  About 840 times the 1.28 MB so counted of the
+# acceptance error study, the largest preset or bench run.
 MAX_RUN_BYTES = 2**30
 
 # Arrays per cell and batch row in the RK4 stage workspace (_Stage): the
@@ -304,13 +306,6 @@ class _HelmholtzSolver:
         return z
 
 
-# Every run factors one (delta, grid), kept while its march runs (_march
-# releases it), so a process holds one at most, whatever the runs before it.
-@lru_cache(maxsize=1)
-def _helmholtz(delta: float, grid: Grid) -> _HelmholtzSolver:
-    return _HelmholtzSolver(delta, grid)
-
-
 def helmholtz_apply_inverse(rhs: np.ndarray, delta: float, grid: Grid) -> np.ndarray:
     """Solve z - delta * D2 z = rhs, rhs (n,) or (m, n), into a new array;
     at delta = 0 the factored operator is the identity."""
@@ -319,16 +314,17 @@ def helmholtz_apply_inverse(rhs: np.ndarray, delta: float, grid: Grid) -> np.nda
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim not in (1, 2) or rhs.shape[-1] != grid.n:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({grid.n},) or (m, {grid.n})")
-    return _helmholtz(delta, grid).solve(rhs.copy())
+    return _HelmholtzSolver(delta, grid).solve(rhs.copy())
 
 
 # ---------------------------------------------------------------------------
 # semidiscrete rates
 
 class _Stage:
-    """Preallocated buffers of the rate for one grid and batch shape."""
+    """Preallocated buffers, Helmholtz factorization and epsilon of the rate
+    for one grid, batch shape, delta and epsilon."""
 
-    def __init__(self, grid: Grid, shape: Tuple[int, ...]):
+    def __init__(self, grid: Grid, shape: Tuple[int, ...], delta: float, epsilon):
         self.grid = grid
         lead = shape[:-1]
         # Rows (-1 - eta) u, eta, u with two ghost cells at each end; the
@@ -341,11 +337,13 @@ class _Stage:
         self.k = np.empty((7,) + shape)
         # Mirror sign of each row at reflective walls: u is odd, eta even.
         self.parity = np.array([-1.0, 1.0, -1.0]).reshape((3,) + (1,) * len(shape))
+        self.solver = _HelmholtzSolver(delta, grid)
+        # A scalar, or one value per batch row as an (m, 1) column.
+        self.epsilon = np.array(epsilon)[:, None] if isinstance(epsilon, tuple) else epsilon
 
-    def rate(self, k: np.ndarray, delta: float, epsilon) -> None:
+    def rate(self, k: np.ndarray) -> None:
         """Rates of the state in self.y into k[0] (eta_t) and k[1] (u_t),
-        u_t = (I - delta D2)^-1 (epsilon D2 u - D1 eta - u D1 u) at any
-        delta, epsilon >= 0; epsilon a scalar or an (m, 1) column."""
+        u_t = (I - delta D2)^-1 (epsilon D2 u - D1 eta - u D1 u)."""
         grid, p = self.grid, self.pad
         flux = p[0, ..., 2:-2]
         np.subtract(-1.0, self.eta, out=flux)
@@ -358,22 +356,23 @@ class _Stage:
         forcing += k[2]
         # Second difference of u into the spent rows: k[2] and the flux.
         d2 = _d2(p[2], grid.dx, out=k[2], scratch=flux)
-        d2 *= epsilon
+        d2 *= self.epsilon
         np.subtract(d2, forcing, out=forcing)
-        _helmholtz(delta, grid).solve(forcing, scratch=k[2])
+        self.solver.solve(forcing, scratch=k[2])
 
 
-# The cached buffers are reused by every call on the same grid and batch
-# shape, so this cache assumes one calling thread.  Loading LAPACK for the
+# The one workspace of the run in progress: its _Stage, keyed by grid,
+# batch shape, delta and epsilon (a float or a tuple), so no run reuses
+# another's factorization or epsilon.  Its buffers are reused by every
+# step, so this cache assumes one calling thread.  Loading LAPACK for the
 # Helmholtz solve starts OpenBLAS's thread pool, but dpttrs runs on the
-# calling thread, and the package starts no thread of its own.  Every run
-# uses one grid and one batch shape, so one workspace is kept, and only
-# while the run's march lasts (_march releases it): MAX_RUN_BYTES then
+# calling thread, and the package starts no thread of its own.  Only step
+# fills it and _march releases it when the march ends: MAX_RUN_BYTES then
 # bounds the process as well as the run, and a process between runs holds
 # no workspace.
 @lru_cache(maxsize=1)
-def _stage(grid: Grid, shape: Tuple[int, ...]) -> _Stage:
-    return _Stage(grid, shape)
+def _stage(grid: Grid, shape: Tuple[int, ...], delta: float, epsilon) -> _Stage:
+    return _Stage(grid, shape, delta, epsilon)
 
 
 def semidiscrete_rhs_peregrine(
@@ -391,11 +390,11 @@ def semidiscrete_rhs_peregrine(
         raise ValueError(
             f"eta {eta.shape} and u {u.shape} must both be ({grid.n},) or (m, {grid.n})"
         )
-    stage = _stage(grid, eta.shape)
+    stage = _Stage(grid, eta.shape, delta, epsilon)
     stage.eta[...] = eta
     stage.u[...] = u
     k = stage.k[:3]
-    stage.rate(k, delta, epsilon)
+    stage.rate(k)
     return k[0].copy(), k[1].copy()
 
 
@@ -498,16 +497,16 @@ def cfl_bound(state: FieldPair, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 # time stepping
 
-def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> np.ndarray:
+def _rk4_step(state: FieldPair, config: RunConfig) -> np.ndarray:
     """The (2, ...) block (eta, u) one RK4 step after state, in a fresh array."""
-    grid, dt = config.grid, config.dt
+    dt = config.dt
     y = np.stack((state.eta, state.u))
-    stage = _stage(grid, state.eta.shape)
+    stage = _stage(config.grid, state.eta.shape, config.delta, config.epsilon)
     # Stage j's rates are rows 2j to 2j + 2 of the block, so its scratch row
     # is the next stage's first, which that stage has not yet written.
     k1, k2, k3 = (stage.k[j : j + 3] for j in (0, 2, 4))
     stage.y[...] = y
-    stage.rate(k1, config.delta, epsilon)
+    stage.rate(k1)
     for k, prev, h in ((k2, k1, 0.5 * dt), (k3, k2, 0.5 * dt), (k3, k3, dt)):
         # Stage input y + h * prev, written straight into the buffer.
         np.multiply(prev[:2], h, out=stage.y)
@@ -516,7 +515,7 @@ def _rk4_step(state: FieldPair, config: RunConfig, epsilon) -> np.ndarray:
             # k3 is spent once it is in the stage input and in k2 + k3, so
             # k4 takes its rows.
             k2[:2] += k3[:2]
-        stage.rate(k, config.delta, epsilon)
+        stage.rate(k)
     # Sum ((k2 + k3) 2 + k1) + k4 into k2 in place, then add it to y, the
     # stacked copy of the state: the result never aliases the workspace.
     k1, k2, k4 = k1[:2], k2[:2], k3[:2]
@@ -591,10 +590,7 @@ def step(state: FieldPair, config: RunConfig) -> FieldPair:
     t = state.t + config.dt
     if config.system is SystemKind.SHALLOW_WATER:
         return _checked(_rusanov_step(state, config), t, config)
-    epsilon = config.epsilon
-    if isinstance(epsilon, tuple):
-        epsilon = np.array(epsilon)[:, None]
-    return _checked(_rk4_step(state, config, epsilon), t, config)
+    return _checked(_rk4_step(state, config), t, config)
 
 
 def _march(
@@ -607,8 +603,8 @@ def _march(
     none, and positions indexes them.  Each is mapped to the nearest whole
     step.  The march writes no yielded state again and drops each at the
     next step: a caller that keeps one keeps its memory.  When the march
-    ends, finished, failed or closed, it releases the cached RK4 workspace
-    and Helmholtz factorization.
+    ends, finished, failed or closed, it releases the cached RK4 workspace,
+    Helmholtz factorization included.
     """
     n = config.grid.n
     shape = (len(config.epsilon), n) if isinstance(config.epsilon, tuple) else (n,)
@@ -632,11 +628,10 @@ def _march(
             if k in wanted:
                 yield wanted[k], state
     finally:
-        # The run's workspace and factorization go with it, so no run
-        # shares the process with another's: a reference run after an RK4
-        # run holds none, nor does a process between runs.
+        # The run's workspace goes with it, so no run shares the process
+        # with another's: a reference run after an RK4 run holds none, nor
+        # does a process between runs.
         _stage.cache_clear()
-        _helmholtz.cache_clear()
 
 
 def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[FieldPair]:

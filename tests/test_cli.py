@@ -143,14 +143,15 @@ def test_import_loads_no_scipy():
 # After a command, a later public import of the package must reuse the
 # module the command loaded from its file: for LAPACK, the very dpttrf and
 # dpttrs a Helmholtz solver takes.  The command's own solver is gone by
-# then: each run's march releases it when it ends.
+# then: each run's march releases its workspace, solver included, when it
+# ends.
 LAPACK_IDENTITY = """\
 from bore_lab import pde
 from bore_lab.config import load_config
 from scipy.linalg import lapack
 config = load_config(sys.argv[1])
-released = pde._helmholtz.cache_info().currsize == 0
-solver = pde._helmholtz(config.delta, config.grid)
+released = pde._stage.cache_info().currsize == 0
+solver = pde._HelmholtzSolver(config.delta, config.grid)
 same = [released,
         solver._dpttrs is lapack.dpttrs,
         sys.modules["scipy.linalg._flapack"].dpttrf is lapack.dpttrf]
@@ -695,6 +696,12 @@ PROFILE_FIG2 = ["profile", "--preset", "fig2", "--out-dir", "{out}"]
                      id="evolve-x_min-inf"),
         pytest.param(EVOLVE, with_value(with_value(SMALL_RUN, "x_min", "-1e12"), "x_max", "1e12"),
                      "n <= 1048576 (2**20)", id="evolve-8e12-cells"),
+        # (x_max - x_min) / dx overflows to inf, which has no int.
+        pytest.param(EVOLVE, with_value(with_value(with_value(SMALL_RUN, "x_min", "-400"),
+                                                   "x_max", "400"), "dx", "1e-320"),
+                     "n <= 1048576 (2**20)", id="evolve-dx-1e-320"),
+        pytest.param(EVOLVE, with_value(with_value(SMALL_RUN, "x_min", "-1e308"), "x_max", "1e308"),
+                     "n <= 1048576 (2**20)", id="evolve-1e308-domain"),
         pytest.param(EVOLVE, with_value(SMALL_RUN, "epsilon", "nan"), "epsilon",
                      id="evolve-epsilon-nan"),
         pytest.param(EVOLVE, with_value(SMALL_RUN, "epsilon", "inf"), "epsilon",

@@ -459,6 +459,41 @@ def test_rk4_step_equals_rk4_of_the_rate(boundary):
         assert np.array_equal(y, expected)
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        pytest.param(dict(delta=1.0, epsilon=0.1), dict(delta=0.5, epsilon=0.1), id="delta"),
+        pytest.param(dict(delta=1.0, epsilon=0.1), dict(delta=1.0, epsilon=0.2), id="epsilon"),
+        pytest.param(dict(delta=1.0, epsilon=(0.1, 0.05)), dict(delta=1.0, epsilon=(0.2, 0.05)),
+                     id="epsilon-tuple"),
+    ],
+)
+def test_step_reuses_no_other_configs_workspace(first, second):
+    # Two configs on one grid and batch shape, stepped in turn, each take
+    # the very step they take from an empty cache: the cached workspace's
+    # factorization and epsilon belong to the config that stepped last.
+    g = Grid(-50.0, 50.0, 400, "periodic")
+    configs = [RunConfig("peregrine-dissipative", g, SmoothedRiemann(0.4), 0.025, 1.0, **kw)
+               for kw in (first, second)]
+    rows = len(first["epsilon"]) if isinstance(first["epsilon"], tuple) else 1
+    eta = make_initial(configs[0].ic, g).eta
+    eta = np.tile(eta, (rows, 1)) if rows > 1 else eta
+    state = FieldPair(eta, 0.3 * eta)
+
+    def fresh(cfg):
+        pde._stage.cache_clear()
+        new = step(state, cfg)
+        return new.eta.tobytes() + new.u.tobytes()
+
+    try:
+        expected = [fresh(cfg) for cfg in configs]
+        for cfg, want in zip(configs * 2, expected * 2):
+            new = step(state, cfg)
+            assert new.eta.tobytes() + new.u.tobytes() == want
+    finally:
+        pde._stage.cache_clear()
+
+
 # ---- run configuration -------------------------------------------------
 
 
@@ -602,15 +637,20 @@ def test_error_study_holds_no_state_between_snapshot_times():
 
 
 def test_runs_leave_no_workspace_cached(monkeypatch):
-    # Each march releases its RK4 workspace and Helmholtz factorization
-    # when it ends, so neither outlives the run that built it, failed
-    # runs included.
+    # Each march releases its RK4 workspace, Helmholtz factorization
+    # included, when it ends, so none outlives the run that built it,
+    # failed runs included; the public rate and solve cache none.
     def released():
-        return (pde._stage.cache_info().currsize, pde._helmholtz.cache_info().currsize) == (0, 0)
+        return pde._stage.cache_info().currsize == 0
 
     evolve(small_config(t_end=0.05))
     assert released()
     error_study(small_config(t_end=1.0, snapshot_times=[1.0]), [0.1])
+    assert released()
+    g = periodic_grid(64)
+    semidiscrete_rhs_peregrine(np.zeros(g.n), np.zeros(g.n), 1.0, 0.1, g)
+    assert released()
+    helmholtz_apply_inverse(np.ones(g.n), 1.0, g)
     assert released()
 
     def step_then_fail(state, config):
