@@ -278,25 +278,25 @@ def cmd_error_study(args) -> int:
 
 # _align_series refuses to resample either series to more points than
 # this: np.correlate of two 2**16-point series takes ~0.7 s (2-vCPU
-# machine), and the largest preset (fig6-c) against a 400-row gauge
-# resamples to ~14,000.
+# machine), and a 400-row gauge read off a whole profile resamples both
+# series to ~800.
 MAX_ALIGN_SAMPLES = 2**17
 
 
 def _align_series(t_model, e_model, t_data, e_data):
     """Shift making model time comparable to data time, by correlating the
-    front slopes on a common uniform sampling.
+    front slopes resampled at half the gauge's median time step.
 
     Raises ConfigError, before allocating, when either resampled series
-    would hold more than MAX_ALIGN_SAMPLES points.
+    would hold fewer than 2 or more than MAX_ALIGN_SAMPLES points.
     """
-    h = 0.5 * min(float(np.median(np.diff(t_model))), float(np.median(np.diff(t_data))))
-    # np.arange's own length, before its ceiling.
+    h = 0.5 * float(np.median(np.diff(t_data)))
+    # np.arange's own length, before its ceiling; np.gradient needs 2 points.
     n_model, n_data = ((float(t[-1]) - float(t[0])) / h for t in (t_model, t_data))
-    if max(n_model, n_data) > MAX_ALIGN_SAMPLES:
+    if not (1.0 < n_model <= MAX_ALIGN_SAMPLES and 1.0 < n_data <= MAX_ALIGN_SAMPLES):
         raise ConfigError(
             f"aligning would resample the profile to {n_model:.4g} and the gauge to "
-            f"{n_data:.4g} points at spacing {h:.4g}, above MAX_ALIGN_SAMPLES = "
+            f"{n_data:.4g} points at spacing {h:.4g}, outside 2 to MAX_ALIGN_SAMPLES = "
             f"{MAX_ALIGN_SAMPLES}"
         )
     tm = np.arange(t_model[0], t_model[-1], h)
@@ -316,11 +316,17 @@ def _align_series(t_model, e_model, t_data, e_data):
 
 def cmd_overlay(args) -> int:
     data = load_profile_csv(args.profile)
-    if not 1.0 < args.c < math.inf:
-        raise ConfigError(f"Froude number must be finite and exceed 1, got {args.c}")
+    # Each row fixes the speed, eta = u / (c - u); the median outvotes the
+    # rows where u and eta are both near 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows_c = data["u"] + data["u"] / data["eta"]
+    rows_c = rows_c[np.isfinite(rows_c)]
+    c = float(np.median(rows_c)) if rows_c.size else math.nan
+    if not c > 1.0:
+        raise ConfigError(f"{args.profile}: its rows give no finite Froude number above 1")
     # A steady wave passing a fixed gauge: xi = x0 - c t, so the time trace
     # is the profile read right to left.
-    t_model = -data["xi"][::-1] / args.c
+    t_model = -data["xi"][::-1] / c
     e_model = data["eta"][::-1]
     t_data, e_data = read_csv(args.data, 2)
     shift = _align_series(t_model, e_model, t_data, e_data)
@@ -330,7 +336,7 @@ def cmd_overlay(args) -> int:
         raise ConfigError("gauge data barely overlaps the computed profile")
     resid = np.interp(t_data[mask], t_shifted, e_model) - e_data[mask]
     report = {
-        "froude": args.c,
+        "froude": c,
         "shift": shift,
         "n_overlap": int(np.count_nonzero(mask)),
         "rms_misfit": float(np.sqrt(np.mean(resid**2))),
@@ -431,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("overlay", help="compare a profile against gauge data")
     p.add_argument("--profile", required=True, help="profile CSV from `profile`")
     p.add_argument("--data", required=True, help="gauge CSV with rows t,eta")
-    p.add_argument("--c", type=float, required=True, help="Froude number")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_overlay)
 

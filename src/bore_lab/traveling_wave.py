@@ -501,7 +501,7 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
         xi=xi,
         u=u_arr,
         v=v_arr,
-        eta=np.asarray(eta, dtype=float),
+        eta=eta,
         seed_offset=offset,
         options=opts,
         solver=record,

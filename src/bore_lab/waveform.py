@@ -159,9 +159,7 @@ def surface_elevation(u, c: float):
     if np.any(u_arr >= c):
         raise ValueError("surface elevation is singular at u = c; need u < c")
     eta = u_arr / (c - u_arr)
-    if np.isscalar(u) or u_arr.ndim == 0:
-        return float(eta)
-    return eta
+    return float(eta) if np.ndim(u) == 0 else eta
 
 
 def restoring_coefficient(c: float) -> float:
@@ -265,9 +263,7 @@ def potential(u, params: WaveParams):
     if np.any(u_arr == c):
         raise ValueError("potential is singular at u = c")
     out = params.delta * c * _reduced_potential(u_arr, c)
-    if np.isscalar(u) or u_arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(u) == 0 else out
 
 
 def lyapunov_value(u, v, params: WaveParams):
@@ -279,9 +275,7 @@ def lyapunov_value(u, v, params: WaveParams):
     """
     v_arr = np.asarray(v, dtype=float)
     out = 0.5 * v_arr ** 2 + potential(u, params)
-    if np.isscalar(v) or v_arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(v) == 0 else out
 
 
 def dissipated_energy(c: float) -> float:

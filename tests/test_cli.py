@@ -797,8 +797,7 @@ def test_overlay_recovers_time_shift(profile_dir, tmp_path, capsys):
     write_gauge(gauge, t + 7.5, eta)
     report_path = tmp_path / "report.json"
     assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
-                 "--data", str(gauge), "--c", "1.3",
-                 "--out", str(report_path)]) == 0
+                 "--data", str(gauge), "--out", str(report_path)]) == 0
     capsys.readouterr()
     report = json.loads(report_path.read_text())
     assert report["shift"] == pytest.approx(7.5, abs=0.05)
@@ -813,32 +812,17 @@ def test_overlay_noise_floor(profile_dir, tmp_path, capsys):
     write_gauge(gauge, t + 3.0, eta + 0.01 * rng.standard_normal(t.size))
     report_path = tmp_path / "report.json"
     assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
-                 "--data", str(gauge), "--c", "1.3",
-                 "--out", str(report_path)]) == 0
+                 "--data", str(gauge), "--out", str(report_path)]) == 0
     capsys.readouterr()
     report = json.loads(report_path.read_text())
     assert 0.005 < report["rms_misfit"] < 0.02
-
-
-def test_overlay_mismatched_speed_reports_not_fails(profile_dir, tmp_path, capsys):
-    t, eta = station_trace(profile_dir, 1.3)
-    gauge = tmp_path / "gauge.csv"
-    write_gauge(gauge, t, eta)
-    report_path = tmp_path / "report.json"
-    assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
-                 "--data", str(gauge), "--c", "2.6",
-                 "--out", str(report_path)]) == 0
-    capsys.readouterr()
-    report = json.loads(report_path.read_text())
-    assert report["rms_misfit"] > 10.0 * 1e-4
 
 
 def test_overlay_malformed_csv_names_line(profile_dir, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,eta\n0,0\n1,0,9\n")
     assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
-                 "--data", str(bad), "--c", "1.3",
-                 "--out", str(tmp_path / "r.json")]) == 2
+                 "--data", str(bad), "--out", str(tmp_path / "r.json")]) == 2
     assert "line 3" in capsys.readouterr().err
 
 
@@ -857,9 +841,13 @@ def test_overlay_rejects_bad_gauge_data(profile_dir, tmp_path, capsys, content):
     bad = tmp_path / "bad.csv"
     bad.write_text(content)
     assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
-                 "--data", str(bad), "--c", "1.3",
-                 "--out", str(tmp_path / "r.json")]) == 2
+                 "--data", str(bad), "--out", str(tmp_path / "r.json")]) == 2
     capsys.readouterr()
+
+
+def negate_eta(line):
+    head, eta = line.rsplit(",", 1)
+    return f"{head},{-float(eta)!r}"
 
 
 # Each edit of the fig2 profile.csv (header first, then data rows) and
@@ -873,6 +861,8 @@ BAD_PROFILES = {
     "one-data-row": (lambda lines: lines[:2], "got 1"),
     "rows-reversed": (lambda lines: lines[:1] + lines[:0:-1], "line 3"),
     "no-header": (lambda lines: lines[1:], "line 1"),
+    "eta-negated": (lambda lines: lines[:1] + [negate_eta(line) for line in lines[1:]],
+                    "no finite Froude number"),
 }
 
 
@@ -885,53 +875,62 @@ def test_overlay_rejects_bad_profile_csv(profile_dir, tmp_path, capsys, edit, ne
     bad = tmp_path / "profile.csv"
     bad.write_text("\n".join(edit(lines)) + "\n")
     report = tmp_path / "r.json"
-    assert main(["overlay", "--profile", str(bad), "--data", str(gauge), "--c", "1.3",
+    assert main(["overlay", "--profile", str(bad), "--data", str(gauge),
                  "--out", str(report)]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and needle in err
     assert not report.exists()
 
 
-def test_overlay_rejects_subcritical_speed(profile_dir, tmp_path, capsys):
-    t, eta = station_trace(profile_dir, 1.3)
-    gauge = tmp_path / "gauge.csv"
-    write_gauge(gauge, t, eta)
-    assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
-                 "--data", str(gauge), "--c", "0.9",
-                 "--out", str(tmp_path / "r.json")]) == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("c", ["inf", "nan"])
-def test_overlay_rejects_non_finite_speed(profile_dir, tmp_path, capsys, c):
-    t, eta = station_trace(profile_dir, 1.3)
-    gauge = tmp_path / "gauge.csv"
-    write_gauge(gauge, t, eta)
-    assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
-                 "--data", str(gauge), "--c", c, "--out", str(tmp_path / "r.json")]) == 2
-    assert "Froude number must be finite" in capsys.readouterr().err
-
-
-# Gauges (rows t, eta) and speeds whose common sampling would resample a
-# series to 1e11, 4e13 and 2e9 points; each once failed a huge allocation.
+# Gauges (rows t, eta) whose common sampling would resample a series to
+# 1e11 points, or the profile to none; each once failed a huge allocation
+# or inside np.gradient.
 OVERSIZED_GAUGES = {
-    "sampled-every-1e-9": (lambda t, eta: (np.arange(12) * 1e-9, np.linspace(0.0, 0.1, 12)), "1.3"),
-    "spanning-1e12": (lambda t, eta: (np.linspace(0.0, 1e12, 12), np.linspace(0.0, 0.1, 12)), "1.3"),
-    "400-rows-c-1e6": (lambda t, eta: (t, eta), "1e6"),
+    "sampled-every-1e-9": (np.arange(12) * 1e-9, np.linspace(0.0, 0.1, 12)),
+    "spanning-1e12": (np.linspace(0.0, 1e12, 12), np.linspace(0.0, 0.1, 12)),
 }
 
 
-@pytest.mark.parametrize("gauge, c", OVERSIZED_GAUGES.values(), ids=OVERSIZED_GAUGES.keys())
-def test_overlay_refuses_an_oversized_alignment(profile_dir, tmp_path, capsys, gauge, c):
+@pytest.mark.parametrize("gauge", OVERSIZED_GAUGES.values(), ids=OVERSIZED_GAUGES.keys())
+def test_overlay_refuses_an_oversized_alignment(profile_dir, tmp_path, capsys, gauge):
     path = tmp_path / "gauge.csv"
-    write_gauge(path, *gauge(*station_trace(profile_dir, 1.3)))
+    write_gauge(path, *gauge)
     report = tmp_path / "r.json"
     start = time.perf_counter()
     assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
-                 "--data", str(path), "--c", c, "--out", str(report)]) == 2
+                 "--data", str(path), "--out", str(report)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "MAX_ALIGN_SAMPLES = 131072" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_overlay_takes_no_speed_flag(profile_dir, tmp_path, capsys):
+    t, eta = station_trace(profile_dir, 1.3)
+    gauge = tmp_path / "gauge.csv"
+    write_gauge(gauge, t, eta)
+    report = tmp_path / "r.json"
+    assert main(["overlay", "--profile", str(profile_dir / "profile.csv"),
+                 "--data", str(gauge), "--c", "1.3", "--out", str(report)]) == 2
+    assert "unrecognized arguments: --c 1.3" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_overlay_aligns_a_profile_past_65536_samples(tmp_path, capsys):
+    # (8, 0.5, 0.3) sweeps 75,960 samples: resampled at half its own row
+    # gap, the profile alone would exceed MAX_ALIGN_SAMPLES.
+    out = tmp_path / "c8"
+    assert main(["profile", "--c", "8", "--delta", "0.5", "--epsilon", "0.3",
+                 "--out-dir", str(out)]) == 0
+    t, eta = station_trace(out, 8.0)
+    gauge = tmp_path / "gauge.csv"
+    write_gauge(gauge, t + 7.5, eta)
+    report_path = tmp_path / "report.json"
+    assert main(["overlay", "--profile", str(out / "profile.csv"),
+                 "--data", str(gauge), "--out", str(report_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    assert report["froude"] == 8.0
+    assert abs(report["shift"] - 7.5) <= 1e-3 * (t[1] - t[0])
 
 
 # ---- preset-export -----------------------------------------------------
