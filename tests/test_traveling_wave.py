@@ -37,6 +37,7 @@ from bore_lab import (
     write_shape_report_json,
 )
 from bore_lab import traveling_wave
+from bore_lab.cli import main
 from bore_lab.config import preset_pairs
 from bore_lab.waveform import (
     RealPair,
@@ -347,6 +348,41 @@ def test_osc_features_agree_with_denser_sampling(osc_shape, monkeypatch):
     a, b = np.array(osc_shape.inflections), np.array(dense.inflections)
     assert a.shape == b.shape
     assert np.max(np.abs(a - b)) < 3e-8
+
+
+def test_log_slope_matches_polyfit(mono_profile, osc_profile, monkeypatch):
+    # The samples shape_report fits, read off its calls: the downstream
+    # tail of both profiles, MONO's upstream tail and OSC's peak envelope.
+    fits = []
+    slope = traveling_wave._log_slope
+
+    def recorded(x, y):
+        fits.append((x, y))
+        return slope(x, y)
+
+    monkeypatch.setattr(traveling_wave, "_log_slope", recorded)
+    for profile in (mono_profile, osc_profile):
+        shape_report(profile)
+    assert len(fits) == 4
+    for x, y in fits:
+        assert slope(x, y) == pytest.approx(np.polyfit(x, np.log(y), 1)[0], rel=1e-13, abs=0.0)
+
+
+def test_profile_calls_no_numpy_lapack(mono_profile, osc_profile, mono_shape, osc_shape,
+                                       tmp_path, monkeypatch):
+    # np.polyfit is patched too: it binds numpy.linalg.lstsq at import, so
+    # patching numpy.linalg alone would not see it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy LAPACK called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for name in np.linalg.__all__:
+        obj = getattr(np.linalg, name)
+        if callable(obj) and not isinstance(obj, type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    assert shape_report(mono_profile) == mono_shape
+    assert shape_report(osc_profile) == osc_shape
+    assert main(["profile", "--preset", "fig6-c", "--out-dir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("fixture", ["mono_profile", "osc_profile"])
