@@ -2,7 +2,6 @@
 
 Modules by task:
     waveform        exact algebra of the profile reduction
-    radau           a Radau IIA integrator; profiles now use scipy's LSODA
     traveling_wave  profile computation, shape reports, invariant checks
     pde             method-of-lines evolution, error studies, front tracking
     csvio           the one CSV reader, CSV writer and JSON writer

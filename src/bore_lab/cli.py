@@ -113,7 +113,12 @@ def cmd_classify(args) -> int:
         "saddle_rate_plus": lam_plus,
         "tail_rates": tail,
     }
-    print(json.dumps(report, indent=2))
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericsError(f"the report overflows a double at c = {params.c}, "
+                            f"delta = {params.delta}, epsilon = {params.epsilon}") from None
+    print(text)
     return 0
 
 
@@ -162,8 +167,9 @@ def cmd_speed_amplitude(args) -> int:
     out = Path(args.out)
     rows = []
     for c in np.linspace(args.c_min, args.c_max, args.n).tolist():
-        u_bar, w = solitary_amplitude(c)
+        # First: WaveParams refuses a c with no tail gap, which solitary_amplitude divides by.
         eta_tail = equilibria(WaveParams(c, 1.0, 0.0)).eta_tail
+        u_bar, w = solitary_amplitude(c)
         rows.append((c, eta_tail, u_bar / w, empirical_bore_amplitude(c)))
     write_csv(out, "c,eta_tail,eta_solitary,eta_T1994_inverse", np.transpose(rows))
     print(f"wrote {out} ({args.n} rows)")

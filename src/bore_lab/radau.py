@@ -1,235 +1,14 @@
-"""Adaptive 3-stage Radau IIA integrator (order 5) for small stiff systems.
+"""What is left of the Radau IIA integrator: its class name only.
 
-The profile equations are a planar system whose backward sweep from the
-saddle is mildly stiff once the node eigenvalue ratio grows, so an
-L-stable implicit method is the right tool.  This is the classical
-fifth-order Radau IIA collocation scheme: the stage equations are solved
-by a simplified Newton iteration with an analytic Jacobian supplied by the
-caller, the local error is the standard smoothed third-order embedded
-estimate, and the step controller is the usual 0.9 * err**(-1/4) rule with
-a Newton-effort safety factor.
-
-The system dimension is expected to be tiny (the package uses n = 2), so
-the full 3n x 3n Newton matrix is factorized directly each step instead of
-going through the real/complex similarity transform used by large-scale
-implementations.
+Profiles are integrated with scipy's LSODA (traveling_wave._sweep).
+bench/tracing.py still imports this module and wraps RadauStepper.step, so
+the name stays; ROADMAP item 1's benchmark change deletes the module and
+that wrap together.
 """
-
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-
-import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-
-from .errors import IntegrationError
-
-_S6 = math.sqrt(6.0)
-
-# Collocation nodes and Runge-Kutta matrix (Radau IIA, s = 3).
-C_NODES = np.array([(4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0])
-A_RK = np.array(
-    [
-        [(88.0 - 7.0 * _S6) / 360.0, (296.0 - 169.0 * _S6) / 1800.0, (-2.0 + 3.0 * _S6) / 225.0],
-        [(296.0 + 169.0 * _S6) / 1800.0, (88.0 + 7.0 * _S6) / 360.0, (-2.0 - 3.0 * _S6) / 225.0],
-        [(16.0 - _S6) / 36.0, (16.0 + _S6) / 36.0, 1.0 / 9.0],
-    ]
-)
-# Embedded error weights and the real eigenvalue of inv(A) used to smooth
-# the estimate.
-E_WEIGHTS = np.array([-13.0 - 7.0 * _S6, -13.0 + 7.0 * _S6, -1.0]) / 3.0
-MU_REAL = 3.0 + 3.0 ** (2.0 / 3.0) - 3.0 ** (1.0 / 3.0)
-
-_NEWTON_MAXITER = 7
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 8.0
-
-# Barycentric weights for the interpolation nodes (0, c1, c2, 1).
-_DENSE_NODES = np.concatenate(([0.0], C_NODES))
-_DENSE_W = np.array(
-    [
-        1.0 / np.prod([_DENSE_NODES[j] - _DENSE_NODES[k] for k in range(4) if k != j])
-        for j in range(4)
-    ]
-)
-
-
-@dataclass
-class StepResult:
-    """One accepted step: endpoints plus the collocation values."""
-
-    t_old: float
-    t_new: float
-    y_new: np.ndarray
-    # States at (t_old, t_old + c1 h, t_old + c2 h, t_new); row 0 is y_old.
-    nodes: np.ndarray
-
-    def dense(self, t):
-        """Evaluate the degree-3 collocation polynomial at times t."""
-        h = self.t_new - self.t_old
-        theta = (np.asarray(t, dtype=float) - self.t_old) / h
-        theta = np.atleast_1d(theta)
-        out = np.empty((theta.size, self.nodes.shape[1]))
-        for i, th in enumerate(theta):
-            diff = th - _DENSE_NODES
-            hit = np.nonzero(diff == 0.0)[0]
-            if hit.size:
-                out[i] = self.nodes[hit[0]]
-            else:
-                w = _DENSE_W / diff
-                out[i] = w @ self.nodes / w.sum()
-        return out[0] if np.isscalar(t) else out
 
 
 class RadauStepper:
-    """Step-at-a-time driver; the caller owns the stopping logic.
+    """No integrator: step raises."""
 
-    fun(t, y) -> dy/dt must accept y of shape (n,) or a stacked (m, n)
-    batch (the three stages are evaluated in one call).  jac(t, y) -> (n, n)
-    analytic Jacobian.  Tolerances follow the usual atol + rtol * |y|
-    weighting with an RMS norm.
-    """
-
-    def __init__(self, fun, jac, t0, y0, rtol=1e-10, atol=1e-12,
-                 max_step=np.inf, first_step=None):
-        if not (rtol > 0.0 and atol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not (max_step > 0.0):
-            raise ValueError("max_step must be positive")
-        self.fun = fun
-        self.jac = jac
-        self.t = float(t0)
-        self.y = np.asarray(y0, dtype=float).copy()
-        self.n = self.y.size
-        self.rtol = rtol
-        self.atol = atol
-        self.max_step = max_step
-        self.newton_tol = max(10.0 * np.finfo(float).eps / rtol,
-                              min(0.03, math.sqrt(rtol)))
-        self.h = first_step if first_step is not None else self._initial_step()
-        self.h = min(self.h, max_step)
-        self.nsteps = 0
-        self.nrejected = 0
-        self._eye = np.eye(3 * self.n)
-
-    def _initial_step(self):
-        f0 = self.fun(self.t, self.y)
-        scale = self.atol + self.rtol * np.abs(self.y)
-        d0 = _rms(self.y / scale)
-        d1 = _rms(f0 / scale)
-        h0 = 1e-6 if d1 < 1e-12 else 0.01 * d0 / d1
-        return max(h0, 1e-10)
-
-    def _newton(self, h, f0, lu):
-        """Solve the stage system; returns (Z, converged, iterations)."""
-        Z = np.zeros((3, self.n))
-        scale = self.atol + self.rtol * np.abs(self.y)
-        dz_norm_old = None
-        for k in range(_NEWTON_MAXITER):
-            F = self.fun(self.t + C_NODES * h, self.y[None, :] + Z)
-            R = (Z - h * (A_RK @ F)).reshape(-1)
-            dZ = lu_solve(lu, -R).reshape(3, self.n)
-            dz_norm = _rms(dZ / scale)
-            rate = None
-            if dz_norm_old is not None and dz_norm_old > 0.0:
-                rate = dz_norm / dz_norm_old
-                if rate >= 1.0:
-                    return Z, False, k + 1
-                if rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * dz_norm > self.newton_tol:
-                    return Z, False, k + 1
-            Z += dZ
-            if dz_norm == 0.0 or (
-                rate is not None and rate / (1.0 - rate) * dz_norm < self.newton_tol
-            ):
-                return Z, True, k + 1
-            dz_norm_old = dz_norm
-        return Z, False, _NEWTON_MAXITER
-
-    def step(self) -> StepResult:
-        """Advance one accepted step or raise IntegrationError."""
-        t, y = self.t, self.y
-        f0 = self.fun(t, y)
-        J = self.jac(t, y)
-        min_step = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
-        h = min(self.h, self.max_step)
-        rejected = False
-        while True:
-            if h < min_step:
-                raise IntegrationError(
-                    f"step size underflow at t = {t} (h = {h})"
-                )
-            M = self._eye - h * np.kron(A_RK, J)
-            lu = lu_factor(M, check_finite=False)
-            Z, converged, n_iter = self._newton(h, f0, lu)
-            if not converged:
-                h *= 0.4
-                continue
-            y_new = y + Z[2]
-            lu_err = lu_factor(
-                MU_REAL / h * np.eye(self.n) - J, check_finite=False
-            )
-            ze = (E_WEIGHTS @ Z) / h
-            err = lu_solve(lu_err, f0 + ze)
-            scale = self.atol + self.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = _rms(err / scale)
-            if err_norm >= 1.0 and (rejected or self.nsteps == 0):
-                # Stabilized second evaluation, as in standard Radau codes.
-                err = lu_solve(lu_err, self.fun(t, y + err) + ze)
-                err_norm = _rms(err / scale)
-            safety = 0.9 * (2.0 * _NEWTON_MAXITER + 1.0) / (2.0 * _NEWTON_MAXITER + n_iter)
-            if err_norm < 1.0:
-                factor = min(_MAX_FACTOR, safety * err_norm ** -0.25) if err_norm > 0.0 else _MAX_FACTOR
-                self.h = min(h * max(_MIN_FACTOR, factor), self.max_step)
-                self.t = t + h
-                self.y = y_new
-                self.nsteps += 1
-                nodes = np.vstack([y[None, :], y[None, :] + Z])
-                return StepResult(t_old=t, t_new=self.t, y_new=y_new, nodes=nodes)
-            rejected = True
-            self.nrejected += 1
-            h *= max(_MIN_FACTOR, min(0.9, safety * err_norm ** -0.25))
-
-
-def _rms(v):
-    return float(np.sqrt(np.mean(v * v)))
-
-
-def solve_radau(fun, jac, t_span, y0, rtol=1e-10, atol=1e-12, max_step=np.inf,
-                t_eval=None):
-    """Integrate fun over t_span = (t0, t1) with t1 > t0.
-
-    Returns (t, y) arrays of the accepted steps, or the dense-output values
-    at t_eval when given.  Convenience wrapper used mainly by tests; the
-    profile code drives RadauStepper directly.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must be increasing")
-    stepper = RadauStepper(fun, jac, t0, y0, rtol=rtol, atol=atol, max_step=max_step)
-    ts = [t0]
-    ys = [np.asarray(y0, dtype=float)]
-    segments = []
-    tiny = 64.0 * np.finfo(float).eps * max(abs(t0), abs(t1), 1.0)
-    while t1 - stepper.t > tiny:
-        if stepper.t + stepper.h > t1:
-            stepper.h = t1 - stepper.t
-        res = stepper.step()
-        segments.append(res)
-        ts.append(res.t_new)
-        ys.append(res.y_new)
-    t_arr = np.array(ts)
-    y_arr = np.vstack(ys)
-    if t_eval is None:
-        return t_arr, y_arr
-    t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < t0 - tiny) or np.any(t_eval > t_arr[-1] + tiny):
-        raise ValueError("t_eval outside the integrated range")
-    t_eval = np.clip(t_eval, t0, t_arr[-1])
-    out = np.empty((t_eval.size, y_arr.shape[1]))
-    k = 0
-    for i, te in enumerate(t_eval):
-        while k < len(segments) - 1 and te > segments[k].t_new:
-            k += 1
-        out[i] = segments[k].dense(float(te))
-    return t_eval, out
+    def step(self):
+        raise NotImplementedError("the Radau IIA integrator is gone; profiles use LSODA")

@@ -462,7 +462,11 @@ def integrate_profile(params: WaveParams, options: Optional[ProfileOptions] = No
                          f"from stopping below it; got {opts.tail_tol}")
     offset = opts.seed_offset if opts.seed_offset is not None else 1e-8 * u0
     seed = manifold_seed(params, offset)
-    spacing = _STEP_FRACTION / _slow_rate(params)
+    rate = _slow_rate(params)
+    spacing = _STEP_FRACTION / rate if rate > 0.0 else math.inf
+    if not 0.0 < spacing < math.inf:
+        raise IntegrationError(f"the slowest rate {rate:.3g} at delta = {params.delta}, epsilon = "
+                               f"{params.epsilon} gives no finite sample spacing")
     predicted = _predicted_span(params, offset, opts.tail_tol)
     span = min(_SPAN_MARGIN * predicted, opts.max_span)
     if span / spacing > MAX_PROFILE_SAMPLES:

@@ -49,7 +49,10 @@ class WaveParams:
     c        wave speed in units of the linear long-wave speed; must be > 1
     delta    dispersion coefficient (scaled squared depth / 3); must be > 0
     epsilon  bulk dissipation coefficient; must be >= 0
-    All three must be finite.
+    All three must be finite, and so must the tail gap c - u_tail =
+    (sqrt(c**2 + 8) - c) / 2, which eta_tail and restoring(c) divide by; it
+    must also be positive.  It rounds to 0 from c ~ 1e9 and overflows past
+    c ~ 1e154.
     """
 
     c: float
@@ -66,6 +69,8 @@ class WaveParams:
             raise ValueError(
                 f"wave speed must be supercritical (c > 1), got c = {self.c}"
             )
+        if not 0.0 < math.sqrt(self.c * self.c + 8.0) - self.c < math.inf:
+            raise ValueError(f"wave speed c = {self.c} leaves no tail gap c - u_tail in a double")
         if not (self.delta > 0.0):
             raise ValueError(f"dispersion coefficient must be positive, got {self.delta}")
         if not (self.epsilon >= 0.0):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface: exit codes, file
 outputs, and byte-level determinism."""
 
+import ast
 import json
 import os
 import re
@@ -138,6 +139,20 @@ def test_import_loads_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_src_imports_no_scipy_package_by_name():
+    # The runtime checks see only the modules a command runs; this reads
+    # every module, so that bore_lab._scipy.extension stays the one way in.
+    for path in sorted(Path(bore_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (path.name, names)
 
 
 # After a command, a later public import of the package must reuse the
@@ -731,6 +746,44 @@ def test_non_finite_or_out_of_range_numbers_exit_2(argv, config, name, tmp_path,
     assert captured.err.startswith("error: ")
     assert name in captured.err
     assert captured.out == ""
+
+
+# Finite inputs that the closed forms cannot carry: the tail gap c - u_tail
+# rounds to 0 from c ~ 1e9 and overflows with c**2 past c ~ 1e154, the
+# profile's slowest rate underflows to 0, and classify's damping test or a
+# tail rate overflows to inf, which is not JSON.
+CLASSIFY, PROFILE = ["classify", "--c"], ["profile", "--out-dir", "{out}", "--c"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, name",
+    [
+        pytest.param(CLASSIFY + ["1e9", "--delta", "0.2", "--epsilon", "1"], 2,
+                     "c = 1000000000.0", id="classify-c-1e9"),
+        pytest.param(PROFILE + ["1e10", "--delta", "0.2", "--epsilon", "1"], 2,
+                     "c = 10000000000.0", id="profile-c-1e10"),
+        pytest.param(["speed-amplitude", "--c-min", "2", "--c-max", "1e10", "--n", "3",
+                      "--out", "{out}"], 2, "c = 5000000001.0", id="speed-amplitude-c-max-1e10"),
+        pytest.param(PROFILE + ["1.3", "--delta", "0.2", "--epsilon", "1e160"], 3,
+                     "epsilon = 1e+160", id="profile-epsilon-1e160"),
+        pytest.param(PROFILE + ["1.3", "--delta", "1e308", "--epsilon", "1"], 3,
+                     "delta = 1e+308", id="profile-delta-1e308"),
+        pytest.param(CLASSIFY + ["1.3", "--delta", "0.2", "--epsilon", "1e300"], 3,
+                     "epsilon = 1e+300", id="classify-epsilon-1e300"),
+        pytest.param(CLASSIFY + ["1.3", "--delta", "1e-320", "--epsilon", "1"], 3,
+                     "delta = 1e-320", id="classify-delta-1e-320"),
+        pytest.param(PROFILE + ["1e200", "--delta", "0.2", "--epsilon", "1"], 2,
+                     "c = 1e+200", id="profile-c-1e200"),
+    ],
+)
+def test_extreme_finite_numbers_are_refused(argv, code, name, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([a.format(out=out) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert name in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # Over the memory budget: 2**20 cells with 60 snapshots (below), and an

@@ -1149,7 +1149,7 @@ def fast_profile():
     return integrate_profile(WaveParams(1.3, 0.2, 1.2))
 
 
-def test_sample_profile_matches_spline_values(fast_profile):
+def test_sample_profile_matches_linear_interpolation(fast_profile):
     g = Grid(-30.0, 15.0, 180, "reflective")
     state = sample_profile_on_grid(fast_profile, g)
     inside = (g.x > fast_profile.xi[0]) & (g.x < fast_profile.xi[-1])
