@@ -42,6 +42,16 @@ _SMALL_ETA = 0.5
 _SMALL_ETA_TERMS = 48
 
 
+def _check_tail_gap(c: float) -> None:
+    """Raise ValueError naming c unless the tail gap sqrt(c**2 + 8) - c is
+    positive and finite: twice c - u_tail, which the closed forms divide by
+    or take the log of.  It rounds to 0 from c ~ 1e9 and overflows past
+    c ~ 1e154.
+    """
+    if not 0.0 < math.sqrt(c * c + 8.0) - c < math.inf:
+        raise ValueError(f"wave speed c = {c} leaves no tail gap c - u_tail in a double")
+
+
 @dataclass(frozen=True)
 class WaveParams:
     """Bundle (c, delta, epsilon) for one traveling-wave problem.
@@ -49,10 +59,10 @@ class WaveParams:
     c        wave speed in units of the linear long-wave speed; must be > 1
     delta    dispersion coefficient (scaled squared depth / 3); must be > 0
     epsilon  bulk dissipation coefficient; must be >= 0
-    All three must be finite, and so must the tail gap c - u_tail =
-    (sqrt(c**2 + 8) - c) / 2, which eta_tail and restoring(c) divide by; it
-    must also be positive.  It rounds to 0 from c ~ 1e9 and overflows past
-    c ~ 1e154.
+    All three must be finite, and the tail gap c - u_tail =
+    (sqrt(c**2 + 8) - c) / 2, which eta_tail and restoring(c) divide by,
+    must be positive and finite (_check_tail_gap, which the closed forms
+    of c alone call too).
     """
 
     c: float
@@ -69,8 +79,7 @@ class WaveParams:
             raise ValueError(
                 f"wave speed must be supercritical (c > 1), got c = {self.c}"
             )
-        if not 0.0 < math.sqrt(self.c * self.c + 8.0) - self.c < math.inf:
-            raise ValueError(f"wave speed c = {self.c} leaves no tail gap c - u_tail in a double")
+        _check_tail_gap(self.c)
         if not (self.delta > 0.0):
             raise ValueError(f"dispersion coefficient must be positive, got {self.delta}")
         if not (self.epsilon >= 0.0):
@@ -178,6 +187,7 @@ def restoring_coefficient(c: float) -> float:
     """
     if not (c >= 1.0):
         raise ValueError(f"restoring coefficient needs c >= 1, got {c}")
+    _check_tail_gap(c)
     d = 0.5 * (c - math.sqrt(c * c + 8.0))  # = u_tail - c < 0
     return d + c / (d * d)
 
@@ -295,10 +305,14 @@ def dissipated_energy(c: float) -> float:
     """
     if not (c >= 1.0):
         raise ValueError(f"dissipated energy needs c >= 1, got {c}")
+    _check_tail_gap(c)
     disc = math.sqrt(c * c + 8.0)
-    return -(2.0 + c * c) * (disc - 3.0 * c) / 6.0 - c * math.log(
+    energy = -(2.0 + c * c) * (disc - 3.0 * c) / 6.0 - c * math.log(
         0.25 * c * (c + disc)
     )
+    if not math.isfinite(energy):
+        raise ValueError(f"dissipated energy at c = {c} is not finite in a double")
+    return energy
 
 
 def solitary_amplitude(c: float) -> tuple:
@@ -320,6 +334,7 @@ def solitary_amplitude(c: float) -> tuple:
     """
     if not (c > 1.0):
         raise ValueError(f"solitary amplitude needs c > 1, got {c}")
+    _check_tail_gap(c)
 
     def g(u, w):
         return u ** 3 / 6.0 - c * u ** 2 / 2.0 - u + c * math.log1p(u / w)

@@ -1,4 +1,5 @@
-"""Acceptance suite: ten headline checks, one test each.
+"""Acceptance suite: ten headline checks, one test each, and one CSV check
+that rides on the c08 study.
 
 Each test states its tolerance inline and is meant to emit a single
 pass/fail line under `pytest -v`.  Module fixtures share the expensive
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from bore_lab.config import build_wave_params, preset_pairs
+from bore_lab.csvio import _decimal
 from bore_lab.pde import (
     FieldPair,
     Gaussian,
@@ -212,14 +214,20 @@ def test_c07_pde_carries_the_front(injected_wave):
         assert misfit < 1e-2, name
 
 
-def test_c08_deviation_scales_with_damping_and_time():
+@pytest.fixture(scope="module")
+def c08_study():
+    """The c08 error study: the CLI's c08 rows, then a 1e-6 row."""
     grid = Grid(-400.0, 400.0, 3200, "periodic")
     base = RunConfig("peregrine-dissipative", grid, SmoothedRiemann(0.5, 2.0),
                      0.025, 25.0, delta=1.0, epsilon=0.1,
                      snapshot_times=(5.0, 7.5, 10.0, 12.5, 15.0, 20.0, 25.0))
     # The 1e-6 row stands for the gain K0 of the tangent solution at epsilon = 0.
-    epsilons = [0.1, 0.05, 0.02, 0.01, 1e-6]
-    study = error_study(base, epsilons)
+    return base, error_study(base, [0.1, 0.05, 0.02, 0.01, 1e-6])
+
+
+def test_c08_deviation_scales_with_damping_and_time(c08_study):
+    base, study = c08_study
+    grid = base.grid
     init = make_initial(base.ic, grid)
     rest = FieldPair(np.zeros(grid.n), np.zeros(grid.n))
     ceiling = 0.1 * error_norm(init, rest, grid)
@@ -245,6 +253,14 @@ def test_c08_deviation_scales_with_damping_and_time():
     slopes = [(fit.gain - k0) / fit.epsilon for fit in study.fits[:-1]]
     assert all(-0.6 < s < -0.2 for s in slopes)
     assert np.all(np.diff(slopes) < 0.0)
+
+
+def test_c08_error_series_take_no_csv_fallback(c08_study):
+    # The error-study workload writes these series; write_csv's kernel must
+    # certify every value, or each would cost a '%.17g' call of its own.
+    for series in c08_study[1].series[:4]:
+        values = np.column_stack([series.times, series.y]).ravel()
+        assert not _decimal(values)[-1].any(), series.epsilon
 
 
 def test_c09_conservation_and_convergence(injected_wave):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bore_lab import pde
-from bore_lab.csvio import write_csv
+from bore_lab.csvio import _BLOCK_VALUES, write_csv
 from bore_lab.errors import ConfigError, NumericsError
 from bore_lab.pde import (
     _RK4_REAL_LIMIT,
@@ -1279,11 +1279,15 @@ def test_error_series_csv_round_trip(tmp_path, study):
 
 
 def test_write_csv_matches_savetxt_bytes(tmp_path):
-    # More rows than four formatting blocks, and values whose %.17g text
-    # is special: signed zero, infinities, NaN, subnormal, huge.
+    # Seven formatting blocks and a short eighth, fixed and exponent
+    # layouts in each, and values whose %.17g text is special: signed zero,
+    # infinities, NaN, subnormal, huge, and a tie at 17 digits.
     rng = np.random.default_rng(3)
-    cols = [np.arange(5000.0), rng.standard_normal(5000), rng.standard_normal(5000)]
-    cols[1][:6] = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7e308]
+    cols = [np.arange(5000.0), rng.standard_normal(5000),
+            rng.standard_normal(5000) * 10.0 ** rng.integers(-12, 24, 5000)]
+    assert 7 * _BLOCK_VALUES < 3 * 5000 < 8 * _BLOCK_VALUES
+    cols[1][:7] = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7e308, 131073 / 262144]
+    cols[2][4000:4006] = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7e308]
     write_csv(tmp_path / "a.csv", "i,a,b", cols)
     np.savetxt(tmp_path / "b.csv", np.column_stack(cols), fmt="%.17g", delimiter=",",
                header="i,a,b", comments="")

@@ -5,6 +5,7 @@ differences rather than trusted from the implementation under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,17 @@ def test_dissipated_energy_is_well_depth():
 def test_dissipated_energy_positive_supercritical():
     for c in np.linspace(1.01, 10.0, 300):
         assert dissipated_energy(float(c)) > 0.0
+
+
+@pytest.mark.parametrize("closed_form, c", [
+    (restoring_coefficient, 1e9),  # the tail gap rounds to 0: ZeroDivisionError
+    (solitary_amplitude, 1e9),
+    (restoring_coefficient, 1e200),  # c**2 overflows: the value was -inf
+    (dissipated_energy, 1e200),
+])
+def test_closed_forms_refuse_a_c_without_tail_gap(closed_form, c):
+    with pytest.raises(ValueError, match=re.escape(f"c = {c}")):
+        closed_form(c)
 
 
 # ---------------------------------------------------------------------------
