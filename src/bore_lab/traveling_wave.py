@@ -199,12 +199,12 @@ class ShapeReport:
     tail_decay_rate_plus is the fitted exponential rate of u as
     xi -> +inf (negative, approximately the stable saddle eigenvalue);
     tail_decay_rate_minus the fitted rate of |u - u_tail| (or of its
-    oscillation envelope) as xi -> -inf (positive).  Each rate is the
-    closed-form least-squares slope of the log-deviation against xi
-    (_log_slope).  tail_frequency is the fitted oscillation frequency
-    upstream; it is None for monotone profiles, and both upstream fits are
-    None for oscillatory profiles so close to the damping threshold that
-    too few peaks are resolved.
+    oscillation envelope, _fit_oscillatory_tail) as xi -> -inf (positive).
+    Each rate is the least-squares log-slope of its deviations (_log_slope;
+    _fit_tail_band picks them in a monotone tail).  tail_frequency is the
+    fitted oscillation frequency upstream; it is None for monotone
+    profiles, and both upstream fits are None for oscillatory profiles so
+    close to the damping threshold that too few peaks are resolved.
     """
 
     regime_observed: str
@@ -413,7 +413,9 @@ def _sweep(params: WaveParams, seed: PhasePoint, spacing: float, span: float, op
         u, v = y[1 : xi.size + 1, 0], y[1 : xi.size + 1, 1]
         non_finite = ~(np.isfinite(u) & np.isfinite(v))
         singular = u > params.c - 1e-9 * params.c
-        decided = np.flatnonzero(non_finite | singular | (_upstream_norm2(u, v, params) < tol2))
+        # A stop norm that overflows to inf is not below tail_tol either.
+        with np.errstate(over="ignore"):
+            decided = np.flatnonzero(non_finite | singular | (_upstream_norm2(u, v, params) < tol2))
         if decided.size:
             k = int(decided[0])
             if non_finite[k]:
@@ -603,7 +605,8 @@ def shape_report(profile: Profile) -> ShapeReport:
 
     Feature counting is restricted to the core region (deviations above
     10 * tail_tol) so that roundoff wiggles in the resolved tails are not
-    reported as structure.
+    reported as structure.  The crest table (zeros of v, u there, the mask
+    of maxima) reaches _fit_oscillatory_tail as arrays.
     """
     params = profile.params
     u0 = equilibria(params).u_tail
@@ -621,13 +624,12 @@ def shape_report(profile: Profile) -> ShapeReport:
     d2v = _force_slope(u, params) * du + params.epsilon / (params.delta * params.c) * dv
     inflections = _zeros(xi, dv, d2v, mask)[0].tolist()
 
-    rate_plus = _fit_right_tail(profile, u0)
-    oscillatory = len(maxima) + len(minima) > 0
+    rate_plus = _fit_tail_band(xi, u, xi > 0.0, u0, "downstream", (1.0, 10.0))
+    oscillatory = locs.size > 0
     if oscillatory:
-        rate_minus, freq = _fit_oscillatory_tail(profile, u0, maxima, minima)
+        rate_minus, freq = _fit_oscillatory_tail(locs, vals, crest, u0, profile.options.tail_tol)
     else:
-        rate_minus = _fit_monotone_tail(profile, u0)
-        freq = None
+        rate_minus, freq = _fit_tail_band(xi, np.abs(u - u0), xi < 0.0, u0, "upstream"), None
 
     return ShapeReport(
         regime_observed="oscillatory" if oscillatory else "monotone",
@@ -653,51 +655,32 @@ def _log_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(dx * (ly - np.mean(ly))) / np.sum(dx * dx))
 
 
-def _fit_right_tail(profile: Profile, u0: float) -> float:
-    """Rate of u as xi -> +inf: the log-slope of the small positive u."""
-    sel = (profile.u > 0.0) & (profile.u < _FIT_CEILING * u0) & (profile.xi > 0.0)
-    if np.count_nonzero(sel) < 4:
-        sel = (profile.u > 0.0) & (profile.u < 10.0 * _FIT_CEILING * u0) & (profile.xi > 0.0)
-    if np.count_nonzero(sel) < 4:
-        raise NumericsError("fewer than 4 samples in the downstream tail")
-    return _log_slope(profile.xi[sel], profile.u[sel])
+def _fit_tail_band(xi, dev, side, u0, name, ceilings=(1.0,)):
+    """Log-slope of the deviations dev > 0 on side, a mask of one side of the front,
+    under the first ceiling * _FIT_CEILING * u0 that holds >= 4 samples; else raise."""
+    for ceiling in ceilings:
+        sel = side & (dev > 0.0) & (dev < ceiling * _FIT_CEILING * u0)
+        if np.count_nonzero(sel) >= 4:
+            return _log_slope(xi[sel], dev[sel])
+    raise NumericsError(f"fewer than 4 samples in the {name} tail")
 
 
-def _fit_monotone_tail(profile: Profile, u0: float) -> float:
-    """Rate of |u - u0| as xi -> -inf: the log-slope of the small deviations."""
-    dev = np.abs(profile.u - u0)
-    sel = (dev > 0.0) & (dev < _FIT_CEILING * u0) & (profile.xi < 0.0)
-    if np.count_nonzero(sel) < 4:
-        raise NumericsError("fewer than 4 samples in the upstream tail")
-    return _log_slope(profile.xi[sel], dev[sel])
-
-
-def _fit_oscillatory_tail(profile, u0, maxima, minima):
-    """Envelope decay rate and crest frequency; either may be None when the
-    spiral is so heavily damped that too few peaks rise above the noise.
-    The rate is the log-slope of the peaks' deviations |u - u0|."""
-    peaks = sorted(maxima + minima)
-    amps = np.array([abs(val - u0) for _, val in peaks])
-    locs = np.array([loc for loc, _ in peaks])
-    tail_tol = profile.options.tail_tol
+def _fit_oscillatory_tail(locs, vals, crest, u0, tail_tol):
+    """Envelope decay rate and crest frequency of the crest table (locs, vals,
+    crest); either may be None when the spiral is so heavily damped that too
+    few peaks rise above the noise.  The rate is the log-slope of |u - u0|."""
+    amps = np.abs(vals - u0)
     for ceiling in (0.05, 0.2, np.inf):
         band = (amps > 3.0 * tail_tol) & (amps < ceiling * u0)
         if np.count_nonzero(band) >= 4:
             break
-    rate = None
-    if np.count_nonzero(band) >= 2:
-        rate = _log_slope(locs[band], amps[band])
+    rate = _log_slope(locs[band], amps[band]) if np.count_nonzero(band) >= 2 else None
 
-    max_locs = np.array([loc for loc, val in sorted(maxima)])
-    sel = np.array(
-        [abs(val - u0) > 3.0 * tail_tol for loc, val in sorted(maxima)], dtype=bool
-    )
-    usable = max_locs[sel]
+    max_locs = locs[crest]
+    usable = max_locs[amps[crest] > 3.0 * tail_tol]
     if usable.size < 3:
         usable = max_locs
-    freq = None
-    if usable.size >= 2:
-        freq = float(2.0 * math.pi / np.mean(np.diff(usable)))
+    freq = float(2.0 * math.pi / np.mean(np.diff(usable))) if usable.size >= 2 else None
     return rate, freq
 
 
@@ -736,18 +719,13 @@ def check_triangle_confinement(profile: Profile) -> BoundsCheck:
         raise ValueError("triangle confinement applies to regularized profiles only")
     slope = params.delta * params.c * tail.minus
     u0 = equilibria(params).u_tail
-    v_scale = float(np.max(np.abs(profile.v))) if profile.v.size else 1.0
-    slack = 10.0 * (profile.options.atol + profile.options.rtol * max(u0, v_scale))
-    margins = np.minimum.reduce(
-        [
-            -profile.v,  # v <= 0
-            profile.u,  # u >= 0
-            u0 - profile.u,  # u <= u_tail
-            profile.v - slope * (profile.u - u0),  # above the lower edge
-        ]
-    )
-    worst = float(np.min(margins))
-    return BoundsCheck(passed=worst >= -slack, worst=worst, slack=slack)
+    margins = [
+        -profile.v,  # v <= 0
+        profile.u,  # u >= 0
+        u0 - profile.u,  # u <= u_tail
+        profile.v - slope * (profile.u - u0),  # above the lower edge
+    ]
+    return _bounds_check(profile, margins, u0)
 
 
 def check_derivative_bounds(profile: Profile) -> BoundsCheck:
@@ -772,9 +750,15 @@ def check_derivative_bounds(profile: Profile) -> BoundsCheck:
     lower = max(-dc_over_eps * (2.0 - 3.0 * c ** (2.0 / 3.0) + c * c), -energy)
     w = solitary_amplitude(c)[1]
     upper = min(dc_over_eps * (c / w + 0.5 * c * c), energy)
+    return _bounds_check(profile, [profile.v - lower, upper - profile.v])
+
+
+def _bounds_check(profile: Profile, margins, floor: float = 0.0) -> BoundsCheck:
+    """Smallest of the margin arrays against the slack for integration error:
+    10 (atol + rtol scale), scale the larger of floor and max |v|."""
     v_scale = float(np.max(np.abs(profile.v))) if profile.v.size else 1.0
-    slack = 10.0 * (profile.options.atol + profile.options.rtol * v_scale)
-    worst = float(min(np.min(profile.v - lower), np.min(upper - profile.v)))
+    slack = 10.0 * (profile.options.atol + profile.options.rtol * max(floor, v_scale))
+    worst = float(np.min(np.minimum.reduce(margins)))
     return BoundsCheck(passed=worst >= -slack, worst=worst, slack=slack)
 
 

@@ -246,38 +246,28 @@ def critical_epsilon(c: float, delta: float) -> float:
 
     The smallest double epsilon* that classify_regime calls regularized:
     sqrt(4 delta c restoring(c)), or the next double up when that rounded
-    root squares to just below the threshold.
+    root squares to just below the threshold; inf where the threshold
+    overflows, since no finite epsilon is regularized there.
     """
     eps = math.sqrt(classify_regime(WaveParams(c, delta, 0.0)).criterion_rhs)
-    if classify_regime(WaveParams(c, delta, eps)).kind is RegimeKind.OSCILLATORY:
+    if eps < math.inf and classify_regime(WaveParams(c, delta, eps)).kind is RegimeKind.OSCILLATORY:
         eps = math.nextafter(eps, math.inf)
     return eps
-
-
-def _reduced_potential(u, c: float):
-    """Potential divided by delta*c; vectorized, valid for u != c."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log(c/|c-u|) = -log1p(-u/c) for u < c; the general form handles both sides.
-        log_term = np.where(
-            u < c, -np.log1p(-u / c), np.log(c / np.abs(c - u))
-        )
-    return u ** 3 / 6.0 - c * u ** 2 / 2.0 - u + c * log_term
 
 
 def potential(u, params: WaveParams):
     """Potential G of the profile system; the orbit lives in its well.
 
-    G(u) = delta c [u**3/6 - c u**2/2 - u + c log(c/|c-u|)], normalized so
-    G(0) = 0.  G is singular at u = c (rejected), has a strict local
-    minimum at u_tail, and changes convexity at u_inflect = c - c**(1/3).
-    Accepts scalars or arrays.
+    G(u) = delta c [u**3/6 - c u**2/2 - u - c log(1 - u/c)], normalized so
+    G(0) = 0.  Its domain is u < c: like surface_elevation it refuses any
+    u >= c, where G is singular.  G has a strict local minimum at u_tail
+    and changes convexity at u_inflect = c - c**(1/3).  Arrays or scalars.
     """
     c = params.c
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr == c):
-        raise ValueError("potential is singular at u = c")
-    out = params.delta * c * _reduced_potential(u_arr, c)
+    u = np.asarray(u, dtype=float)
+    if np.any(u >= c):
+        raise ValueError("potential is singular at u = c; need u < c")
+    out = params.delta * c * (u ** 3 / 6.0 - c * u ** 2 / 2.0 - u - c * np.log1p(-u / c))
     return float(out) if np.ndim(u) == 0 else out
 
 

@@ -751,7 +751,10 @@ def test_non_finite_or_out_of_range_numbers_exit_2(argv, config, name, tmp_path,
 # Finite inputs that the closed forms cannot carry: the tail gap c - u_tail
 # rounds to 0 from c ~ 1e9 and overflows with c**2 past c ~ 1e154, the
 # profile's slowest rate underflows to 0, and classify's damping test or a
-# tail rate overflows to inf, which is not JSON.
+# tail rate overflows to inf, which is not JSON (at delta = 1e308 the
+# threshold of critical_epsilon too).  At rtol = 1e300 the orbit grows
+# until the sweep's stop norm overflows, which must warn nothing before
+# the non-finite state is refused.
 CLASSIFY, PROFILE = ["classify", "--c"], ["profile", "--out-dir", "{out}", "--c"]
 
 
@@ -774,6 +777,10 @@ CLASSIFY, PROFILE = ["classify", "--c"], ["profile", "--out-dir", "{out}", "--c"
                      "delta = 1e-320", id="classify-delta-1e-320"),
         pytest.param(PROFILE + ["1e200", "--delta", "0.2", "--epsilon", "1"], 2,
                      "c = 1e+200", id="profile-c-1e200"),
+        pytest.param(PROFILE + ["1.3", "--delta", "0.2", "--epsilon", "1.2", "--rtol", "1e300"], 3,
+                     "non-finite state", id="profile-rtol-1e300"),
+        pytest.param(CLASSIFY + ["1.3", "--delta", "1e308", "--epsilon", "1"], 3,
+                     "delta = 1e+308", id="classify-delta-1e308"),
     ],
 )
 def test_extreme_finite_numbers_are_refused(argv, code, name, tmp_path, capsys):

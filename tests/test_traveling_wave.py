@@ -385,6 +385,77 @@ def test_profile_calls_no_numpy_lapack(mono_profile, osc_profile, mono_shape, os
     assert main(["profile", "--preset", "fig6-c", "--out-dir", str(tmp_path)]) == 0
 
 
+# The tail fits, branch by branch: each rate must be the log-slope of
+# exactly the samples its branch selects.
+
+
+def test_monotone_tail_fits_read_the_samples_below_the_ceiling(mono_profile, mono_shape):
+    xi, u = mono_profile.xi, mono_profile.u
+    u0 = equilibria(MONO).u_tail
+    dev = np.abs(u - u0)
+    down = (xi > 0.0) & (u > 0.0) & (u < 1e-3 * u0)
+    up = (xi < 0.0) & (dev > 0.0) & (dev < 1e-3 * u0)
+    assert np.count_nonzero(down) >= 4 and np.count_nonzero(up) >= 4
+    assert mono_shape.tail_decay_rate_plus == traveling_wave._log_slope(xi[down], u[down])
+    assert mono_shape.tail_decay_rate_minus == traveling_wave._log_slope(xi[up], dev[up])
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig5"])
+def test_downstream_fit_widens_to_ten_times_the_ceiling(name):
+    # A seed 2e-3 u_tail from the origin leaves fewer than 4 downstream
+    # samples below 1e-3 u_tail, so the fit reads those below 1e-2 u_tail.
+    params = WaveParams(*(preset_pairs(name)[k] for k in ("c", "delta", "epsilon")))
+    u0 = equilibria(params).u_tail
+    profile = integrate_profile(params, ProfileOptions(seed_offset=2e-3 * u0))
+    xi, u = profile.xi, profile.u
+    narrow = (xi > 0.0) & (u > 0.0) & (u < 1e-3 * u0)
+    wide = (xi > 0.0) & (u > 0.0) & (u < 1e-2 * u0)
+    assert np.count_nonzero(narrow) < 4 <= np.count_nonzero(wide)
+    assert shape_report(profile).tail_decay_rate_plus == traveling_wave._log_slope(xi[wide], u[wide])
+
+
+def test_single_crest_leaves_no_envelope_to_fit():
+    # Just below the damping threshold one crest rises above the core cut:
+    # the profile is oscillatory, but neither rate nor frequency is fitted.
+    report = shape_report(integrate_profile(WaveParams(1.3, 0.2, 0.9 * critical_epsilon(1.3, 0.2))))
+    assert report.regime_observed == "oscillatory"
+    assert len(report.maxima) + len(report.minima) == 1
+    assert report.tail_decay_rate_minus is None and report.tail_frequency is None
+
+
+# Synthetic crest tables for the envelope fit, u_tail = 1 and tail_tol =
+# 1e-8: deviations |u - 1|, maxima at the even positions, unevenly spaced
+# in xi.  rate_picks are the crests the rate fits (None: no rate), and
+# freq_picks the maxima whose mean spacing sets the frequency.
+ENVELOPE_CASES = [
+    pytest.param([0.06, 0.04, 0.03, 0.02, 0.01, 0.005, 1e-9], [1, 2, 3, 4, 5], [0, 2, 4],
+                 id="ceiling-0.05"),
+    pytest.param([0.25, 0.15, 0.12, 0.1, 0.04, 0.02], [1, 2, 3, 4, 5], [0, 2, 4], id="ceiling-0.2"),
+    pytest.param([0.9, 0.6, 0.4, 0.15, 0.01], [0, 1, 2, 3, 4], [0, 2, 4], id="ceiling-inf"),
+    pytest.param([0.3, 0.1, 0.04, 1e-9, 1e-10], [0, 1, 2], [0, 2, 4], id="three-peaks-all-maxima"),
+    pytest.param([0.3, 1e-9, 1e-10], None, [0, 2], id="one-peak"),
+    pytest.param([0.3, 1e-9], None, None, id="one-maximum"),
+]
+
+
+@pytest.mark.parametrize("deviations, rate_picks, freq_picks", ENVELOPE_CASES)
+def test_envelope_fit_on_synthetic_crests(deviations, rate_picks, freq_picks):
+    n = len(deviations)
+    locs = np.cumsum(np.linspace(6.0, 9.0, n)) - 100.0
+    crest = np.arange(n) % 2 == 0
+    vals = np.where(crest, 1.0 + np.array(deviations), 1.0 - np.array(deviations))
+    rate, freq = traveling_wave._fit_oscillatory_tail(locs, vals, crest, 1.0, 1e-8)
+    if rate_picks is None:
+        assert rate is None
+    else:
+        amps = np.abs(vals[rate_picks] - 1.0)
+        assert rate == traveling_wave._log_slope(locs[rate_picks], amps)
+    if freq_picks is None:
+        assert freq is None
+    else:
+        assert freq == float(2.0 * math.pi / np.mean(np.diff(locs[freq_picks])))
+
+
 @pytest.mark.parametrize("fixture", ["mono_profile", "osc_profile"])
 def test_sampling_grid_does_not_steer_the_solver(fixture, request, monkeypatch):
     # LSODA's first step is aimed at max_span, not at the first sample, so

@@ -257,6 +257,11 @@ def test_potential_zero_at_origin_and_singular():
     assert potential(0.0, params) == 0.0
     with pytest.raises(ValueError):
         potential(2.0, params)
+    # Its domain is u < c, as surface_elevation's is.
+    with pytest.raises(ValueError, match="need u < c"):
+        potential(2.5, params)
+    with pytest.raises(ValueError, match="need u < c"):
+        potential(np.array([0.5, 1.0, 3.0]), params)
 
 
 def test_potential_stationary_at_tail_and_inflection():
