@@ -7,34 +7,31 @@ derivative term induces on u_t.  Time stepping is classical RK4; the
 elliptic solve removes the third-derivative stiffness so the remaining CFL
 restriction is advective.
 
-Each RK4 stage evaluates the rate in one pass over a workspace cached for
-the run's (grid, batch shape, delta, epsilon): ten arrays per cell and
-batch row, the Helmholtz factorization and epsilon.  A padded
-(3, ..., n + 4) buffer holds the rows (-1 - eta) u, eta and u, two ghost
-cells at each end, mirrored with the signs -1, +1, -1 at reflective walls.
-The stage input y + h k is written into the interior of the adjacent
-(eta, u) rows with one multiply and one add over the (2, ...) block; one
-five-point stencil pass gives the three first differences into that
-stage's three rows of a (7, ..., n) rate block, and the second difference
-of u is read from the same padded row.  The stencils scale by the
-reciprocals 1/(12 dx) and 1/dx**2, so no pass divides.  A stage's first
-row ends as eta_t; its second is built into the momentum forcing
-D1 eta + u D1 u and becomes epsilon D2 u - forcing in one subtraction,
-then is solved in place to u_t; its third is scratch.  Stage j takes rows
-2j to 2j + 2, so its scratch row is the next stage's first, and k4 takes
-k3's rows once k3 is spent.  One path serves every delta, epsilon >= 0:
-at delta = 0 the solve applies the identity.
+A step marches only the cells it can move (_arcs): those within a margin of
+a jump larger than _REST_TOL in each batch row's own state.  It gathers
+them end to end into one block, with two ghost cells at each end of each
+arc, and every other cell keeps its value bit for bit.  A row whose arcs
+would reach a wall or cover its circle goes in whole, its ghost cells
+wrapped or mirrored (eta even, u odd).  Each RK4 stage evaluates the rate
+in one pass over the block, in a workspace cached for the run: the rows
+(-1 - eta) u, eta and u; one five-point stencil pass for their first
+differences; the second difference of u from the same row, times each
+row's epsilon; one dpttrs solve per arc, with u_t = 0 at its ghost cells
+and the first cells of one Dirichlet factor, or per whole row with the
+grid's own factor and periodic correction.  Stage j's eta_t, u_t and
+scratch are rows 2j to 2j + 2 of a (7, block) rate block.  One path
+serves every delta, epsilon >= 0: at delta = 0 the solve applies the
+identity.
 
 Every run is one march calling step once per dt and yielding the states
 that requested times map to.  evolve copies them as snapshots; the
 `evolve` command instead writes each to its files as it is yielded.  A
 tuple epsilon makes a batch: one row per value, sharing grid, step and
-initial data, stepped together with epsilon as an (m, 1) column that the
-workspace builds once.  error_study marches such a batch and folds each
-yielded state into one error norm per row.  So neither command's memory
-grows with the number of snapshot times.  A march releases the cached
-workspace when it ends: a process holds one run's at most, and none
-between runs.
+initial data, each row stepped as its standalone run would be.
+error_study marches such a batch and folds each yielded state into one
+error norm per row.  So neither command's memory grows with the number of
+snapshot times.  A march releases the cached workspace when it ends: a
+process holds one run's at most, and none between runs.
 
 A first-order finite-volume solver for the dispersionless shallow-water
 reduction lives here as well, used as the classical-shock reference.
@@ -74,22 +71,24 @@ MAX_GRID_CELLS = 2**20
 
 # Largest run accepted, in cell-steps (steps x cells x batch rows): over
 # 100 times the largest preset or bench run, an error study of 5 rows x
-# 1000 steps x 3200 cells = 1.6e7, and a few minutes of RK4.
+# 1000 steps x 3200 cells = 1.6e7, and a few minutes of RK4.  It counts
+# every cell a priori, as a step marching every row whole would take.
 MAX_CELL_STEPS = 2 * 10**9
 
 # Largest memory a run may hold, in bytes: rows x cells x 8 x
 # (10 + 2 x snapshots) for evolve, 10 arrays being the RK4 stage workspace
-# per cell and row and 2 the eta and u of each snapshot copy, and
-# rows x cells x 8 x 10 for error_study, which keeps no snapshot.  The
-# evolve command keeps none either, writing each as it is reached, but is
-# refused as evolve would be: there the snapshot term caps what it writes.
-# The workspace's Helmholtz factorization, 3n doubles whatever the rows,
-# lies outside this count.  About 840 times the 1.28 MB so counted of the
-# acceptance error study, the largest preset or bench run.
+# per cell and row, sized a priori for every row marched whole, and 2 the
+# eta and u of each snapshot copy, and rows x cells x 8 x 10 for
+# error_study, which keeps no snapshot.  The evolve command keeps none
+# either, writing each as it is reached, but is refused as evolve would
+# be: there the snapshot term caps what it writes.  The workspace's
+# Helmholtz factors, 5n doubles whatever the rows, lie outside this count.
+# About 840 times the 1.28 MB so counted of the acceptance error study,
+# the largest preset or bench run.
 MAX_RUN_BYTES = 2**30
 
 # Arrays per cell and batch row in the RK4 stage workspace (_Stage): the
-# three padded rows and the seven rows of the rate block.
+# three rows of the block and the seven rows of the rate block.
 _WORKSPACE_ARRAYS = 10
 
 # End of RK4's stability interval on the negative real axis (Hairer &
@@ -267,14 +266,16 @@ class _HelmholtzSolver:
         dpttrf, self._dpttrs = flapack.dpttrf, flapack.dpttrs
         n = grid.n
         q = delta / (grid.dx * grid.dx)
-        diag = np.full(n, 1.0 + 2.0 * q)
+        diag, off = np.full(n, 1.0 + 2.0 * q), np.full(n - 1, -q)
+        # u_t = 0 past both ends: its factor's prefixes are the arcs' (_Stage).
+        self.dirichlet = dpttrf(diag, off)[:2]
         # End diagonals are 1 + 3q either way: the periodic wrap is written
         # as T - q*w w^T with w = e_0 + e_{n-1} and restored by the rank-one
         # correction in solve(), while reflective grids use the odd mirror
         # closure (the solved field is velocity-like and vanishes at walls).
         diag[0] += q
         diag[-1] += q
-        self._d, self._e, info = dpttrf(diag, np.full(n - 1, -q))
+        self._d, self._e, info = dpttrf(diag, off)
         if info != 0:
             raise NumericsError(f"Helmholtz factorization failed (dpttrf info = {info})")
         self._p = None
@@ -290,18 +291,20 @@ class _HelmholtzSolver:
             p[np.abs(p) < np.finfo(float).tiny] = 0.0
             self._gain = q / (1.0 - q * (p[0] + p[-1]))
 
-    def solve(self, z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    def solve(self, z: np.ndarray, scratch: Optional[np.ndarray] = None, factor=None) -> np.ndarray:
         """Overwrite z, a C-contiguous (n,) or (m, n) rhs, with the solution.
 
         scratch, shaped like z, holds the periodic correction term; without
-        it that term is allocated.
+        it that term is allocated.  factor, an arc's (d, e), replaces the
+        grid's own, and then no term is added.
         """
+        d, e = factor or (self._d, self._e)
         # The (n, m) transpose is Fortran-ordered, so dpttrs solves each
         # column, one row of z, in z's own memory.
-        _, info = self._dpttrs(self._d, self._e, z.reshape(-1, z.shape[-1]).T, overwrite_b=1)
+        _, info = self._dpttrs(d, e, z.reshape(-1, z.shape[-1]).T, overwrite_b=1)
         if info != 0:
             raise NumericsError(f"Helmholtz solve failed (dpttrs info = {info})")
-        if self._p is not None:
+        if self._p is not None and factor is None:
             z += np.multiply(self._gain * (z[..., :1] + z[..., -1:]), self._p, out=scratch)
         return z
 
@@ -320,45 +323,132 @@ def helmholtz_apply_inverse(rhs: np.ndarray, delta: float, grid: Grid) -> np.nda
 # ---------------------------------------------------------------------------
 # semidiscrete rates
 
-class _Stage:
-    """Preallocated buffers, Helmholtz factorization and epsilon of the rate
-    for one grid, batch shape, delta and epsilon."""
+# Cells whose eta and u jump by at most this to their neighbours are at
+# rest; a step moves only the cells within _margin of a larger jump.
+_REST_TOL = 1e-17
 
-    def __init__(self, grid: Grid, shape: Tuple[int, ...], delta: float, epsilon):
-        self.grid = grid
-        lead = shape[:-1]
-        # Rows (-1 - eta) u, eta, u with two ghost cells at each end; the
-        # stage input (eta, u) is the interior of the last two.
-        self.pad = np.empty((3,) + lead + (grid.n + 4,))
-        self.y = self.pad[1:, ..., 2:-2]
-        self.eta, self.u = self.y
-        # The rates of the RK4 stages: stage j's eta_t, u_t and scratch
-        # are rows 2j to 2j + 2 (_rk4_step).
-        self.k = np.empty((7,) + shape)
-        # Mirror sign of each row at reflective walls: u is odd, eta even.
-        self.parity = np.array([-1.0, 1.0, -1.0]).reshape((3,) + (1,) * len(shape))
+
+def _margin(delta: float, grid: Grid) -> int:
+    """Cells past a jump that a step moves by over _REST_TOL of its forcing,
+    at most n: the 8 that four RK4 stages of the five-point stencil reach,
+    and ln _REST_TOL / ln r, r = 2q / (1 + 2q + sqrt(1 + 4q)) the Helmholtz
+    kernel's decay per cell at q = delta / dx**2 (157 at r = 0.779)."""
+    q = delta / (grid.dx * grid.dx)
+    r = 2.0 * q / (1.0 + 2.0 * q + math.sqrt(1.0 + 4.0 * q))
+    if not (_REST_TOL > 0.0 and r < 1.0):
+        return grid.n
+    return min(8 + (math.ceil(math.log(_REST_TOL) / math.log(r)) if r > 0.0 else 0), grid.n)
+
+
+def _arcs(y: np.ndarray, grid: Grid, parity, margin: int, p, jump) -> Tuple[int, tuple]:
+    """(w, segments): the (row, lo, hi) cells a step moves in y, a (2, rows,
+    n) state of wall parities (+1, -1), w whole rows first, lo < 0 across
+    the seam.  Arcs merge unless two cells at rest, for ghost cells, part
+    them; a row whose arcs would reach a wall or close a circle is whole.
+    p, (2, rows, n + 2), and jump, (2, rows, n + 1), are scratch."""
+    n, periodic = grid.n, grid.boundary is BoundaryKind.PERIODIC
+    p[..., 1:-1] = y
+    _fill_ghosts(p, grid, parity)
+    np.abs(np.subtract(p[..., 1:], p[..., :-1], out=jump), out=jump)
+    whole, arcs = [], []
+    for r, active in enumerate(np.maximum(jump[0], jump[1], out=jump[0]) > _REST_TOL):
+        # Runs of jumping faces; face j, left of cell j, moves j - 1 - margin to j + margin.
+        b = [0, *(np.flatnonzero(active[1:] != active[:-1]) + 1).tolist(), n + 1]
+        lo, hi = [], []
+        for first, stop in zip(b[not active[0] :: 2], b[1 + (not active[0]) :: 2]):
+            if hi and first - hi[-1] < 2 * margin + 4:
+                hi[-1] = stop - 1
+            else:
+                lo, hi = lo + [first], hi + [stop - 1]
+        if periodic and len(lo) > 1 and lo[0] + n - hi[-1] < 2 * margin + 4:
+            lo[0] = lo.pop() - n
+            hi.pop()
+        cells = [(r, a - 1 - margin, b + margin) for a, b in zip(lo, hi)]
+        if cells and (cells[0][2] - cells[0][1] >= n - 3 if periodic
+                      else cells[0][1] < 2 or cells[-1][2] > n - 3):
+            whole.append((r, 0, n - 1))
+        else:
+            arcs += cells
+    return len(whole), tuple(whole + arcs)
+
+
+class _Stage:
+    """Buffers, Helmholtz factors and epsilon of the rate for one grid,
+    batch shape, delta and epsilon, sized to march every row whole."""
+
+    def __init__(self, grid: Grid, shape: Tuple[int, ...], delta: float, epsilon, margin: int):
+        self.grid, self.margin, self.segments = grid, margin, None
+        size = math.prod(shape[:-1]) * (grid.n + 4)
+        # Rows (-1 - eta) u, eta, u of the block, and the rates of the RK4
+        # stages, stage j's eta_t, u_t and scratch in rows 2j to 2j + 2.
+        self.pad, self.k = np.empty((3, size)), np.empty((7, size))
+        # Mirror sign of eta and u at reflective walls: eta is even, u odd.
+        self.parity = np.array([1.0, -1.0]).reshape(2, 1, 1)
         self.solver = _HelmholtzSolver(delta, grid)
-        # A scalar, or one value per batch row as an (m, 1) column.
-        self.epsilon = np.array(epsilon)[:, None] if isinstance(epsilon, tuple) else epsilon
+        self.epsilon = np.broadcast_to(np.reshape(epsilon, -1), size // (grid.n + 4))
+
+    def load(self, y: np.ndarray) -> np.ndarray:
+        """Gather y's segments (_arcs), y a C-ordered (2, ..., n) state, end
+        to end into the block, each between two ghost cells at each end; a
+        copy of the stage input, the block but its end cells, is returned."""
+        n, (d, e), rows = self.grid.n, self.solver.dirichlet, self.epsilon.size
+        # The scan's scratch is the workspace, free until the gather.
+        w, segments = _arcs(y.reshape(2, rows, n), self.grid, self.parity, self.margin,
+                            self.pad[1:, : rows * (n + 2)].reshape(2, rows, n + 2),
+                            self.k[:2, : rows * (n + 1)].reshape(2, rows, n + 1))
+        if segments != self.segments:  # else the last call's layout holds
+            self.segments, self.whole, at = segments, w * (n + 4), 0
+            self.gather, self.scatter, self.blocks = [], [], []
+            for j, (r, lo, hi) in enumerate(segments):
+                # Cells lo - g to hi + g in at + 2 - g on, g = 0 for a whole
+                # row, whose ghost cells rate fills; lo to hi back from at.
+                # Runs of at most n + 1 cells wrap once.
+                m, g = hi - lo + 1, 2 * (j >= w)
+                for first, count, pos, runs in (
+                    (lo - g, m + 2 * g, at + 2 - g, self.gather), (lo, m, at, self.scatter)
+                ):
+                    first, head = first % n, min(count, n - first % n)
+                    runs += [(r * n + first, pos, head), (r * n, pos + head, count - head)]
+                # An arc, u_t = 0 past its ends, takes the Dirichlet factor's head.
+                factor = None if j < w else (d[:m], e[: m - 1])
+                self.blocks.append((at, m, self.epsilon[r], factor))
+                at += m + 4
+            ghosts = [g for at, m, *_ in self.blocks for g in (at - 2, at - 1, at + m, at + m + 1)]
+            self.p, self.ghosts = self.pad[:, :at], np.array(ghosts[2:-2], dtype=int)
+        for start, at, length in self.gather:
+            self.p[1:, at : at + length] = y.reshape(2, -1)[:, start : start + length]
+        self.y = self.p[1:, 2:-2]
+        self.u = self.y[1]
+        return self.y.copy()
+
+    def store(self, yb: np.ndarray, y: np.ndarray) -> None:
+        """Write yb, shaped as load's result, into the segments' cells of y,
+        a C-ordered (2, ..., n) state."""
+        for start, at, length in self.scatter:
+            y.reshape(2, -1)[:, start : start + length] = yb[:, at : at + length]
 
     def rate(self, k: np.ndarray) -> None:
-        """Rates of the state in self.y into k[0] (eta_t) and k[1] (u_t),
-        u_t = (I - delta D2)^-1 (epsilon D2 u - D1 eta - u D1 u)."""
-        grid, p = self.grid, self.pad
-        flux = p[0, ..., 2:-2]
-        np.subtract(-1.0, self.eta, out=flux)
-        flux *= self.u
-        _fill_ghosts(p, grid, self.parity)
+        """Rates of the stage input in self.y into k[0] (eta_t) and k[1]
+        (u_t), u_t = (I - delta D2)^-1 (epsilon D2 u - D1 eta - u D1 u); both
+        are 0 at ghost cells, which so keep their values."""
+        grid, p = self.grid, self.p
+        if self.whole:
+            _fill_ghosts(p[1:, : self.whole].reshape(2, -1, grid.n + 4), grid, self.parity)
+        np.subtract(-1.0, p[1], out=p[0])
+        p[0] *= p[2]
         _d1(p, grid.dx, out=k)
         # The forcing D1 eta + u D1 u, built in place in k[1].
         forcing = k[1]
         k[2] *= self.u
         forcing += k[2]
         # Second difference of u into the spent rows: k[2] and the flux.
-        d2 = _d2(p[2], grid.dx, out=k[2], scratch=flux)
-        d2 *= self.epsilon
+        d2 = _d2(p[2], grid.dx, out=k[2], scratch=p[0, 2:-2])
+        for at, m, epsilon, _ in self.blocks:
+            d2[at : at + m] *= epsilon
         np.subtract(d2, forcing, out=forcing)
-        self.solver.solve(forcing, scratch=k[2])
+        k[:2, self.ghosts] = 0.0
+        for at, m, _, factor in self.blocks:
+            self.solver.solve(forcing[at : at + m], k[2, at : at + m], factor)
 
 
 # The one workspace of the run in progress: its _Stage, keyed by grid,
@@ -372,7 +462,7 @@ class _Stage:
 # no workspace.
 @lru_cache(maxsize=1)
 def _stage(grid: Grid, shape: Tuple[int, ...], delta: float, epsilon) -> _Stage:
-    return _Stage(grid, shape, delta, epsilon)
+    return _Stage(grid, shape, delta, epsilon, _margin(delta, grid))
 
 
 def semidiscrete_rhs_peregrine(
@@ -390,12 +480,12 @@ def semidiscrete_rhs_peregrine(
         raise ValueError(
             f"eta {eta.shape} and u {u.shape} must both be ({grid.n},) or (m, {grid.n})"
         )
-    stage = _Stage(grid, eta.shape, delta, epsilon)
-    stage.eta[...] = eta
-    stage.u[...] = u
-    k = stage.k[:3]
-    stage.rate(k)
-    return k[0].copy(), k[1].copy()
+    # A margin of n marches every row whole but those at rest, whose rates are 0.
+    stage, rates = _Stage(grid, eta.shape, delta, epsilon, grid.n), np.zeros((2,) + eta.shape)
+    size = stage.load(np.array((eta, u))).shape[-1]
+    stage.rate(stage.k[:3, :size])
+    stage.store(stage.k[:2, :size], rates)
+    return rates[0], rates[1]
 
 
 # ---------------------------------------------------------------------------
@@ -498,32 +588,35 @@ def cfl_bound(state: FieldPair, grid: Grid) -> float:
 # time stepping
 
 def _rk4_step(state: FieldPair, config: RunConfig) -> np.ndarray:
-    """The (2, ...) block (eta, u) one RK4 step after state, in a fresh array."""
+    """The (2, ...) block (eta, u) one RK4 step after state, in a fresh
+    array; cells outside the block that _arcs lays out keep their values."""
     dt = config.dt
-    y = np.stack((state.eta, state.u))
+    # C-ordered, as np.stack leaves no broadcast batch, so store writes y.
+    y = np.array((state.eta, state.u))
     stage = _stage(config.grid, state.eta.shape, config.delta, config.epsilon)
+    yb = stage.load(y)
     # Stage j's rates are rows 2j to 2j + 2 of the block, so its scratch row
     # is the next stage's first, which that stage has not yet written.
-    k1, k2, k3 = (stage.k[j : j + 3] for j in (0, 2, 4))
-    stage.y[...] = y
+    k1, k2, k3 = (stage.k[j : j + 3, : yb.shape[-1]] for j in (0, 2, 4))
     stage.rate(k1)
     for k, prev, h in ((k2, k1, 0.5 * dt), (k3, k2, 0.5 * dt), (k3, k3, dt)):
-        # Stage input y + h * prev, written straight into the buffer.
+        # Stage input yb + h * prev, written straight into the buffer.
         np.multiply(prev[:2], h, out=stage.y)
-        stage.y += y
+        stage.y += yb
         if k is prev:
             # k3 is spent once it is in the stage input and in k2 + k3, so
             # k4 takes its rows.
             k2[:2] += k3[:2]
         stage.rate(k)
-    # Sum ((k2 + k3) 2 + k1) + k4 into k2 in place, then add it to y, the
-    # stacked copy of the state: the result never aliases the workspace.
+    # Sum ((k2 + k3) 2 + k1) + k4 into k2 in place, add it to yb and store
+    # it in y, the stacked copy of the state: the result aliases no buffer.
     k1, k2, k4 = k1[:2], k2[:2], k3[:2]
     k2 *= 2.0
     k2 += k1
     k2 += k4
     k2 *= dt / 6.0
-    y += k2
+    yb += k2
+    stage.store(yb, y)
     return y
 
 

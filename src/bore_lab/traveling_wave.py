@@ -289,11 +289,13 @@ def _first_step(f0, y0, t_end: float, opts: ProfileOptions) -> float:
 
     ODEPACK's lsoda.f: h0**-2 = 1/(tol t_end**2) + tol max|f0 / ewt|**2,
     with tol = rtol clamped to [100 u, 1e-3] and ewt = rtol |y0| + atol,
-    the arithmetic in LSODA's order.  f0 is the field at y0.
+    the arithmetic in LSODA's order.  f0 is the field at y0.  norm * norm
+    saturates to inf where norm**2 would raise: the step is then 0, which
+    LSODA reads as "choose your own", and refuses as illegal input.
     """
     tol = min(max(opts.rtol, 100.0 * sys.float_info.epsilon), 1e-3)
     norm = max(abs(f) * (1.0 / (opts.rtol * abs(y) + opts.atol)) for f, y in zip(f0, y0))
-    return min(1.0 / math.sqrt(1.0 / (tol * t_end * t_end) + tol * norm**2), t_end)
+    return min(1.0 / math.sqrt(1.0 / (tol * t_end * t_end) + tol * (norm * norm)), t_end)
 
 
 def _predicted_span(params: WaveParams, offset: float, tail_tol: float) -> float:

@@ -754,7 +754,9 @@ def test_non_finite_or_out_of_range_numbers_exit_2(argv, config, name, tmp_path,
 # tail rate overflows to inf, which is not JSON (at delta = 1e308 the
 # threshold of critical_epsilon too).  At rtol = 1e300 the orbit grows
 # until the sweep's stop norm overflows, which must warn nothing before
-# the non-finite state is refused.
+# the non-finite state is refused.  At delta = atol = 1e-200 the square of
+# the first step's error norm overflows: it saturates to a zero step, which
+# LSODA refuses as illegal input, where a traceback once escaped.
 CLASSIFY, PROFILE = ["classify", "--c"], ["profile", "--out-dir", "{out}", "--c"]
 
 
@@ -781,6 +783,8 @@ CLASSIFY, PROFILE = ["classify", "--c"], ["profile", "--out-dir", "{out}", "--c"
                      "non-finite state", id="profile-rtol-1e300"),
         pytest.param(CLASSIFY + ["1.3", "--delta", "1e308", "--epsilon", "1"], 3,
                      "delta = 1e+308", id="classify-delta-1e308"),
+        pytest.param(PROFILE + ["2", "--delta", "1e-200", "--epsilon", "1", "--atol", "1e-200"],
+                     3, "Illegal input", id="profile-delta-atol-1e-200"),
     ],
 )
 def test_extreme_finite_numbers_are_refused(argv, code, name, tmp_path, capsys):

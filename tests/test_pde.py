@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bore_lab import pde
+from bore_lab.config import build_run_config, preset_pairs
 from bore_lab.csvio import _BLOCK_VALUES, write_csv
 from bore_lab.errors import ConfigError, NumericsError
 from bore_lab.pde import (
@@ -968,18 +969,112 @@ def test_error_study_matches_standalone_runs(study):
         assert np.array_equal(series.times, [s.t for s in reference])
 
 
-@pytest.mark.parametrize("delta", [1.0, 0.0])
-def test_batch_rows_equal_standalone_runs_byte_for_byte(delta):
+def arcs(state, cfg):
+    """_arcs of a 1-D or batch state at cfg's margin."""
+    y = np.array((state.eta, state.u)).reshape(2, -1, cfg.grid.n)
+    parity = np.array([1.0, -1.0]).reshape(2, 1, 1)
+    scratch = np.empty(y.shape[:-1] + (cfg.grid.n + 2,)), np.empty(y.shape[:-1] + (cfg.grid.n + 1,))
+    return pde._arcs(y, cfg.grid, parity, pde._margin(cfg.delta, cfg.grid), *scratch)
+
+
+@pytest.mark.parametrize(
+    "delta, overrides, epsilons",
+    [
+        pytest.param(1.0, {}, (0.0, 0.1), id="1.0"),
+        pytest.param(0.0, {}, (0.0, 0.1), id="0.0"),
+        # On 3200 cells each row marches two arcs, and epsilon = 2 spreads
+        # its fronts so that its arcs are wider than epsilon = 0's.
+        pytest.param(1.0, dict(grid=Grid(-400.0, 400.0, 3200)), (0.0, 2.0), id="partial-windows"),
+    ],
+)
+def test_batch_rows_equal_standalone_runs_byte_for_byte(delta, overrides, epsilons):
     # Compared by bytes, so that a signed zero in any row would show; the
     # epsilon = 0 row and the standalone epsilon = 0 run take one stage path.
-    cfg = small_config(delta=delta, snapshot_times=(0.0, 1.0, 2.0))
-    batch = evolve(replace(cfg, epsilon=(0.0, 0.1)))
-    for row, epsilon in enumerate((0.0, 0.1)):
+    cfg = small_config(delta=delta, snapshot_times=(0.0, 1.0, 2.0), **overrides)
+    batch = evolve(replace(cfg, epsilon=epsilons))
+    for row, epsilon in enumerate(epsilons):
         alone = evolve(replace(cfg, epsilon=epsilon))
         for b, a in zip(batch, alone):
             assert b.t == a.t
             assert b.eta[row].tobytes() == a.eta.tobytes()
             assert b.u[row].tobytes() == a.u.tobytes()
+    if overrides:
+        w, segments = arcs(batch[-1], cfg)
+        assert w == 0 and [a[1:] for a in segments[:2]] != [a[1:] for a in segments[2:]]
+
+
+# ---- windowed march ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg, shift, whole_at_end",
+    [
+        # Both dam breaks, at x = 0 and across the seam, grow arcs.  The whole
+        # march runs on the state turned a quarter round, so that its own
+        # seam lies at rest: there its periodic correction rounds otherwise
+        # than the arc that crosses the seam, and unturned it differs from
+        # itself turned by 1.5e-15, as from the windowed march.
+        pytest.param(
+            RunConfig("peregrine-dissipative", Grid(-400.0, 400.0, 3200), SmoothedRiemann(0.5),
+                      0.025, 20.0, delta=1.0, epsilon=0.1), 800, False, id="periodic-seam"),
+        # The waves reach the walls, and the row is marched whole from then.
+        pytest.param(
+            RunConfig("peregrine-dissipative", Grid(-80.0, 80.0, 640, "reflective"),
+                      Gaussian(0.4, 4.0), 0.025, 10.0, delta=1.0, epsilon=0.1), 0, True,
+            id="reflective-wall"),
+        # No Helmholtz kernel: the margin is the stencils' 8 cells alone.
+        pytest.param(
+            RunConfig("peregrine-dissipative", Grid(-100.0, 100.0, 800), SmoothedRiemann(0.5),
+                      0.025, 10.0, delta=0.0, epsilon=0.1), 0, False, id="delta-0"),
+    ],
+)
+def test_windowed_march_matches_the_whole_grid_march(cfg, shift, whole_at_end, monkeypatch):
+    init = make_initial(cfg.ic, cfg.grid)
+    (windowed,) = evolve(cfg)
+    assert arcs(init, cfg)[0] == 0 and arcs(windowed, cfg)[0] == whole_at_end
+    # A zero tolerance makes the margin unbounded: every row is marched whole.
+    monkeypatch.setattr(pde, "_REST_TOL", 0.0)
+    (whole,) = evolve(cfg, initial=FieldPair(np.roll(init.eta, shift), np.roll(init.u, shift)))
+    for got, want in ((windowed.eta, whole.eta), (windowed.u, whole.u)):
+        assert np.max(np.abs(got - np.roll(want, -shift))) <= 1e-15
+    mass = discrete_mass(whole, cfg.grid)
+    assert abs(discrete_mass(windowed, cfg.grid) - mass) <= 1e-12 * abs(mass)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflective"])
+def test_batch_of_whole_windowed_and_resting_rows_equals_standalone_runs(boundary):
+    # One block holds a bump by the right end (an arc across the seam, or a
+    # row marched whole by its wall), a central bump's arc, and no cell of a
+    # row at rest; each row must still take its standalone run's bytes.
+    grid = Grid(-100.0, 100.0, 800, boundary)
+    eta = np.array([0.3 * np.exp(-(((grid.x - 90.0) / 3.0) ** 2)),
+                    0.2 * np.exp(-((grid.x / 3.0) ** 2)), np.zeros(grid.n)])
+    cfg = RunConfig("peregrine-dissipative", grid, Gaussian(0.3, 3.0), 0.025, 3.0, delta=1.0,
+                    epsilon=(0.1, 0.05, 0.2), snapshot_times=(1.0, 3.0))
+    w, segments = arcs(FieldPair(eta, np.zeros_like(eta)), cfg)
+    assert (w, len(segments)) == ((0, 2) if boundary == "periodic" else (1, 2))
+    batch = evolve(cfg, initial=FieldPair(eta, np.zeros_like(eta)))
+    for row, epsilon in enumerate(cfg.epsilon):
+        alone = evolve(replace(cfg, epsilon=epsilon), initial=FieldPair(eta[row], np.zeros(grid.n)))
+        for b, a in zip(batch, alone):
+            assert b.eta[row].tobytes() == a.eta.tobytes()
+            assert b.u[row].tobytes() == a.u.tobytes()
+
+
+def test_sec4_riemann_steps_a_fraction_of_its_cells():
+    # At t = 0 only the tanh ramp's 293 cells and the dam break across the
+    # seam jump; with 165 cells of margin each side the block holds 971 of
+    # the 6400 cells, ghost cells included, where the whole grid would hold
+    # 6404.
+    cfg = build_run_config({k: str(v) for k, v in preset_pairs("sec4-riemann").items()})
+    init = make_initial(cfg.ic, cfg.grid)
+    pde._stage.cache_clear()
+    try:
+        step(init, cfg)
+        stage = pde._stage(cfg.grid, init.eta.shape, cfg.delta, cfg.epsilon)
+        assert stage.p.shape[1] < 1100
+    finally:
+        pde._stage.cache_clear()
 
 
 def test_error_study_validation():
