@@ -8,20 +8,22 @@ elliptic solve removes the third-derivative stiffness so the remaining CFL
 restriction is advective.
 
 A step marches only the cells it can move (_arcs): those within a margin of
-a jump larger than _REST_TOL in each batch row's own state.  It gathers
-them end to end into one block, with two ghost cells at each end of each
-arc, and every other cell keeps its value bit for bit.  A row whose arcs
-would reach a wall or cover its circle goes in whole, its ghost cells
-wrapped or mirrored (eta even, u odd).  Each RK4 stage evaluates the rate
-in one pass over the block, in a workspace cached for the run: the rows
-(-1 - eta) u, eta and u; one five-point stencil pass for their first
+a jump larger than _REST_TOL in each batch row's own state, and a slack.
+It gathers them end to end into one block, with two ghost cells at each
+end of each arc, and every other cell keeps its value bit for bit.  A row
+whose arcs would reach a wall or cover its circle goes in whole, its ghost
+cells wrapped or mirrored (eta even, u odd), and stays whole.  The layout
+holds from step to step: a row is rescanned only when a face in a guard
+band, the margin's faces inside an arc's ends, jumps, and only a state the
+last step did not return is scanned whole.  Each RK4 stage evaluates the
+rate in one pass over the block, in a workspace cached for the run: the
+rows (-1 - eta) u, eta and u; one five-point stencil pass for their first
 differences; the second difference of u from the same row, times each
-row's epsilon; one dpttrs solve per arc, with u_t = 0 at its ghost cells
-and the first cells of one Dirichlet factor, or per whole row with the
-grid's own factor and periodic correction.  Stage j's eta_t, u_t and
-scratch are rows 2j to 2j + 2 of a (7, block) rate block.  One path
-serves every delta, epsilon >= 0: at delta = 0 the solve applies the
-identity.
+row's epsilon; one dpttrs solve of the block, whose factor gives each arc
+the head of one Dirichlet factor (u_t = 0 at its ghost cells), each whole
+row the grid's own and its periodic correction, and each ghost cell an
+identity row.  Stage j's eta_t, u_t and scratch are rows 2j to 2j + 2 of
+a (7, block) rate block.  At delta = 0 the solve applies the identity.
 
 Every run is one march calling step once per dt and yielding the states
 that requested times map to.  evolve copies them as snapshots; the
@@ -33,8 +35,10 @@ error norm per row.  So neither command's memory grows with the number of
 snapshot times.  A march releases the cached workspace when it ends: a
 process holds one run's at most, and none between runs.
 
-A first-order finite-volume solver for the dispersionless shallow-water
-reduction lives here as well, used as the classical-shock reference.
+A first-order finite-volume (Rusanov) solver for the dispersionless
+shallow-water reduction lives here as well, used as the classical-shock
+reference.  It marches the same kind of block at tolerance 0 and a reach
+of one cell, byte for byte as the whole grid would be.
 """
 
 from __future__ import annotations
@@ -76,20 +80,20 @@ MAX_GRID_CELLS = 2**20
 MAX_CELL_STEPS = 2 * 10**9
 
 # Largest memory a run may hold, in bytes: rows x cells x 8 x
-# (10 + 2 x snapshots) for evolve, 10 arrays being the RK4 stage workspace
+# (12 + 2 x snapshots) for evolve, 12 arrays being the RK4 stage workspace
 # per cell and row, sized a priori for every row marched whole, and 2 the
-# eta and u of each snapshot copy, and rows x cells x 8 x 10 for
+# eta and u of each snapshot copy, and rows x cells x 8 x 12 for
 # error_study, which keeps no snapshot.  The evolve command keeps none
 # either, writing each as it is reached, but is refused as evolve would
 # be: there the snapshot term caps what it writes.  The workspace's
 # Helmholtz factors, 5n doubles whatever the rows, lie outside this count.
-# About 840 times the 1.28 MB so counted of the acceptance error study,
+# About 700 times the 1.54 MB so counted of the acceptance error study,
 # the largest preset or bench run.
 MAX_RUN_BYTES = 2**30
 
 # Arrays per cell and batch row in the RK4 stage workspace (_Stage): the
-# three rows of the block and the seven rows of the rate block.
-_WORKSPACE_ARRAYS = 10
+# block's three rows, the rate block's seven and the block factor's two.
+_WORKSPACE_ARRAYS = 12
 
 # End of RK4's stability interval on the negative real axis (Hairer &
 # Wanner, Solving ODEs II, IV.2).
@@ -291,20 +295,21 @@ class _HelmholtzSolver:
             p[np.abs(p) < np.finfo(float).tiny] = 0.0
             self._gain = q / (1.0 - q * (p[0] + p[-1]))
 
-    def solve(self, z: np.ndarray, scratch: Optional[np.ndarray] = None, factor=None) -> np.ndarray:
+    def solve(self, z: np.ndarray, factor=None) -> np.ndarray:
         """Overwrite z, a C-contiguous (n,) or (m, n) rhs, with the solution.
-
-        scratch, shaped like z, holds the periodic correction term; without
-        it that term is allocated.  factor, an arc's (d, e), replaces the
-        grid's own, and then no term is added.
-        """
+        factor, a block's (d, e), replaces the grid's own, and then the
+        periodic correction is not added: correct adds it row by row."""
         d, e = factor or (self._d, self._e)
         # The (n, m) transpose is Fortran-ordered, so dpttrs solves each
         # column, one row of z, in z's own memory.
         _, info = self._dpttrs(d, e, z.reshape(-1, z.shape[-1]).T, overwrite_b=1)
         if info != 0:
             raise NumericsError(f"Helmholtz solve failed (dpttrs info = {info})")
-        if self._p is not None and factor is None:
+        return z if factor else self.correct(z)
+
+    def correct(self, z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+        """Add the periodic rank-one term, in scratch if given, to z solved by the grid's factor."""
+        if self._p is not None:
             z += np.multiply(self._gain * (z[..., :1] + z[..., -1:]), self._p, out=scratch)
         return z
 
@@ -340,27 +345,28 @@ def _margin(delta: float, grid: Grid) -> int:
     return min(8 + (math.ceil(math.log(_REST_TOL) / math.log(r)) if r > 0.0 else 0), grid.n)
 
 
-def _arcs(y: np.ndarray, grid: Grid, parity, margin: int, p, jump) -> Tuple[int, tuple]:
+def _arcs(y: np.ndarray, grid: Grid, parity, margin: int, p, jump, tol: float) -> Tuple[int, tuple]:
     """(w, segments): the (row, lo, hi) cells a step moves in y, a (2, rows,
-    n) state of wall parities (+1, -1), w whole rows first, lo < 0 across
-    the seam.  Arcs merge unless two cells at rest, for ghost cells, part
-    them; a row whose arcs would reach a wall or close a circle is whole.
-    p, (2, rows, n + 2), and jump, (2, rows, n + 1), are scratch."""
+    n) state of wall parities (+1, -1), where a face jumps by over tol, w
+    whole rows first, lo < 0 across the seam.  Arcs merge unless four cells
+    at rest part them, two ghost cells each, so a row's arcs and ghosts fit
+    in n + 4; a row whose arcs would reach a wall or close a circle is
+    whole.  p, (2, rows, n + 2), and jump, (2, rows, n + 1), are scratch."""
     n, periodic = grid.n, grid.boundary is BoundaryKind.PERIODIC
     p[..., 1:-1] = y
     _fill_ghosts(p, grid, parity)
     np.abs(np.subtract(p[..., 1:], p[..., :-1], out=jump), out=jump)
     whole, arcs = [], []
-    for r, active in enumerate(np.maximum(jump[0], jump[1], out=jump[0]) > _REST_TOL):
+    for r, active in enumerate(np.maximum(jump[0], jump[1], out=jump[0]) > tol):
         # Runs of jumping faces; face j, left of cell j, moves j - 1 - margin to j + margin.
         b = [0, *(np.flatnonzero(active[1:] != active[:-1]) + 1).tolist(), n + 1]
         lo, hi = [], []
         for first, stop in zip(b[not active[0] :: 2], b[1 + (not active[0]) :: 2]):
-            if hi and first - hi[-1] < 2 * margin + 4:
+            if hi and first - hi[-1] < 2 * margin + 6:
                 hi[-1] = stop - 1
             else:
                 lo, hi = lo + [first], hi + [stop - 1]
-        if periodic and len(lo) > 1 and lo[0] + n - hi[-1] < 2 * margin + 4:
+        if periodic and len(lo) > 1 and lo[0] + n - hi[-1] < 2 * margin + 6:
             lo[0] = lo.pop() - n
             hi.pop()
         cells = [(r, a - 1 - margin, b + margin) for a, b in zip(lo, hi)]
@@ -372,58 +378,108 @@ def _arcs(y: np.ndarray, grid: Grid, parity, margin: int, p, jump) -> Tuple[int,
     return len(whole), tuple(whole + arcs)
 
 
-class _Stage:
-    """Buffers, Helmholtz factors and epsilon of the rate for one grid,
-    batch shape, delta and epsilon, sized to march every row whole."""
+# Cells a rescan adds to each side of an arc beyond its margin, so that the
+# layout holds while the waves cross them.  At 32, sec4-riemann rescans 15
+# times in 2,400 steps (54 at 8), and its first block holds 1,099 cells.
+_SLACK = 32
 
-    def __init__(self, grid: Grid, shape: Tuple[int, ...], delta: float, epsilon, margin: int):
-        self.grid, self.margin, self.segments = grid, margin, None
+
+class _Stage:
+    """The block of one grid and batch shape, its layout held from step to
+    step, and its buffers, sized to march every row whole; with a Helmholtz
+    solver and epsilon, the RK4 rate on it."""
+
+    def __init__(self, grid: Grid, shape: Tuple[int, ...], margin: int, tol: float,
+                 solver: Optional[_HelmholtzSolver] = None, epsilon=0.0):
+        self.grid, self.margin, self.tol, self.solver = grid, margin, tol, solver
         size = math.prod(shape[:-1]) * (grid.n + 4)
         # Rows (-1 - eta) u, eta, u of the block, and the rates of the RK4
         # stages, stage j's eta_t, u_t and scratch in rows 2j to 2j + 2.
         self.pad, self.k = np.empty((3, size)), np.empty((7, size))
+        # The block's LDL^T factor, d and e: an arc's cells take the head of
+        # the Dirichlet factor, a whole row's the grid's, a ghost cell's 1, 0.
+        self.ldl = np.empty((2, size))
         # Mirror sign of eta and u at reflective walls: eta is even, u odd.
         self.parity = np.array([1.0, -1.0]).reshape(2, 1, 1)
-        self.solver = _HelmholtzSolver(delta, grid)
         self.epsilon = np.broadcast_to(np.reshape(epsilon, -1), size // (grid.n + 4))
+        # The (row, lo, hi) segments, hi - lo = n - 1 for a whole row, and
+        # the state whose layout they are, as the last load copied it.
+        self.segments, self.last = [], None
 
-    def load(self, y: np.ndarray) -> np.ndarray:
-        """Gather y's segments (_arcs), y a C-ordered (2, ..., n) state, end
-        to end into the block, each between two ghost cells at each end; a
-        copy of the stage input, the block but its end cells, is returned."""
-        n, (d, e), rows = self.grid.n, self.solver.dirichlet, self.epsilon.size
-        # The scan's scratch is the workspace, free until the gather.
-        w, segments = _arcs(y.reshape(2, rows, n), self.grid, self.parity, self.margin,
-                            self.pad[1:, : rows * (n + 2)].reshape(2, rows, n + 2),
-                            self.k[:2, : rows * (n + 1)].reshape(2, rows, n + 1))
-        if segments != self.segments:  # else the last call's layout holds
-            self.segments, self.whole, at = segments, w * (n + 4), 0
-            self.gather, self.scatter, self.blocks = [], [], []
-            for j, (r, lo, hi) in enumerate(segments):
-                # Cells lo - g to hi + g in at + 2 - g on, g = 0 for a whole
-                # row, whose ghost cells rate fills; lo to hi back from at.
-                # Runs of at most n + 1 cells wrap once.
-                m, g = hi - lo + 1, 2 * (j >= w)
-                for first, count, pos, runs in (
-                    (lo - g, m + 2 * g, at + 2 - g, self.gather), (lo, m, at, self.scatter)
-                ):
-                    first, head = first % n, min(count, n - first % n)
-                    runs += [(r * n + first, pos, head), (r * n, pos + head, count - head)]
-                # An arc, u_t = 0 past its ends, takes the Dirichlet factor's head.
-                factor = None if j < w else (d[:m], e[: m - 1])
-                self.blocks.append((at, m, self.epsilon[r], factor))
-                at += m + 4
-            ghosts = [g for at, m, *_ in self.blocks for g in (at - 2, at - 1, at + m, at + m + 1)]
-            self.p, self.ghosts = self.pad[:, :at], np.array(ghosts[2:-2], dtype=int)
+    def load(self, state: FieldPair) -> np.ndarray:
+        """Gather the state's segments into the block and return y, a
+        C-ordered (2, ..., n) copy of it for store to write into.  The rows
+        rescanned are those whose guard bands, the margin + 1 faces inside
+        each arc's ends, jump by over tol if state is the last call's y, else all."""
+        n = self.grid.n
+        y = np.array((state.eta, state.u))
+        if self.last is not None and state.eta.base is self.last and state.u.base is self.last:
+            # eta and u at the two cells of each band face, (2, 2, faces).
+            ends = y.take(self.band)
+            jump = np.abs(np.subtract(ends[:, 1], ends[:, 0], out=ends[:, 1]), out=ends[:, 1])
+            hot = np.maximum(*jump) > self.tol if jump.size and jump.max() > self.tol else []
+            rows = sorted({i // n for i in self.band[0, 1, hot].tolist()}) if len(hot) else []
+        else:
+            rows = list(range(self.epsilon.size))
+        self.last = y
+        if rows:
+            self.lay_out(y.reshape(2, -1, n), rows)
         for start, at, length in self.gather:
             self.p[1:, at : at + length] = y.reshape(2, -1)[:, start : start + length]
         self.y = self.p[1:, 2:-2]
         self.u = self.y[1]
-        return self.y.copy()
+        return y
+
+    def lay_out(self, y: np.ndarray, rows: List[int]) -> None:
+        """Rescan the rows of y, a (2, rows, n) state, and lay the block out anew."""
+        n, margin = self.grid.n, self.margin
+        # The scan's scratch is the workspace, free until the gather.
+        _, found = _arcs(y[:, rows], self.grid, self.parity, margin + _SLACK,
+                         self.pad[1:, : len(rows) * (n + 2)].reshape(2, -1, n + 2),
+                         self.k[:2, : len(rows) * (n + 1)].reshape(2, -1, n + 1), self.tol)
+        # Whole rows first, so that their ghost cells fill in one pass.
+        self.segments = segments = sorted(
+            [s for s in self.segments if s[0] not in rows] + [(rows[s[0]], *s[1:]) for s in found],
+            key=lambda s: (s[2] - s[1] < n - 1, s[0]))
+        at, d, e, band = 0, *self.ldl, [np.empty((2, 0), dtype=int)]
+        self.gather, self.scatter, self.runs, ghosts = [], [], {}, []
+        for r, lo, hi in segments:
+            # Cells lo - g to hi + g in at + 2 - g on, g = 0 for a whole
+            # row, whose ghost cells wrap fills; lo to hi back from at.
+            # Runs of at most n + 1 cells wrap once, in a second run.
+            m, g = hi - lo + 1, 2 * (hi - lo < n - 1)
+            for first, count, pos, runs in (
+                (lo - g, m + 2 * g, at + 2 - g, self.gather), (lo, m, at, self.scatter)
+            ):
+                first, head = first % n, min(count, n - first % n)
+                runs += [(r * n + first, pos, head)]
+                runs += [(r * n, pos + head, count - head)] * (count > head)
+            if g:  # face f lies between cells f - 1 and f
+                faces = np.r_[lo : lo + margin + 1, hi + 1 - margin : hi + 2]
+                band.append(r * n + np.array(((faces - 1) % n, faces % n)))
+            if self.solver:
+                factor = self.solver.dirichlet if g else (self.solver._d, self.solver._e)
+                d[at : at + m], e[at : at + m - 1] = factor[0][:m], factor[1][: m - 1]
+                d[at + m : at + m + 4], e[at + m - 1 : at + m + 4] = 1.0, 0.0
+            # epsilon scales one run per row, ghost cells between its arcs included.
+            self.runs.setdefault(r, [at, 0])[1] = at + m
+            ghosts += [at - 2, at - 1, at + m, at + m + 1]
+            at += m + 4
+        self.p, self.ghosts = self.pad[:, :at], np.array(ghosts[2:-2], dtype=int)
+        self.whole = (n + 4) * sum(hi - lo == n - 1 for _, lo, hi in segments)
+        self.factor = (d[: at - 4], e[: at - 5]) if segments else None
+        # Flat indices into y of the band faces' cells, (eta or u, left or right, face).
+        self.band = np.concatenate(band, axis=1) + np.array([0, y[0].size]).reshape(2, 1, 1)
+
+    def wrap(self) -> None:
+        """Fill the ghost cells of the whole rows from their block cells."""
+        if self.whole:
+            p = self.p[1:, : self.whole].reshape(2, -1, self.grid.n + 4)
+            _fill_ghosts(p, self.grid, self.parity)
 
     def store(self, yb: np.ndarray, y: np.ndarray) -> None:
-        """Write yb, shaped as load's result, into the segments' cells of y,
-        a C-ordered (2, ..., n) state."""
+        """Write yb, shaped as the block without its end cells, into the
+        segments' cells of y, a C-ordered (2, ..., n) state."""
         for start, at, length in self.scatter:
             y.reshape(2, -1)[:, start : start + length] = yb[:, at : at + length]
 
@@ -432,8 +488,7 @@ class _Stage:
         (u_t), u_t = (I - delta D2)^-1 (epsilon D2 u - D1 eta - u D1 u); both
         are 0 at ghost cells, which so keep their values."""
         grid, p = self.grid, self.p
-        if self.whole:
-            _fill_ghosts(p[1:, : self.whole].reshape(2, -1, grid.n + 4), grid, self.parity)
+        self.wrap()
         np.subtract(-1.0, p[1], out=p[0])
         p[0] *= p[2]
         _d1(p, grid.dx, out=k)
@@ -443,26 +498,31 @@ class _Stage:
         forcing += k[2]
         # Second difference of u into the spent rows: k[2] and the flux.
         d2 = _d2(p[2], grid.dx, out=k[2], scratch=p[0, 2:-2])
-        for at, m, epsilon, _ in self.blocks:
-            d2[at : at + m] *= epsilon
+        for r, (start, stop) in self.runs.items():
+            d2[start:stop] *= self.epsilon[r]
         np.subtract(d2, forcing, out=forcing)
+        # +0.0 at every ghost cell, so each term the solve's sweeps carry
+        # across a junction of the block is +-0 * 0 and moves no value.
         k[:2, self.ghosts] = 0.0
-        for at, m, _, factor in self.blocks:
-            self.solver.solve(forcing[at : at + m], k[2, at : at + m], factor)
+        if self.factor:
+            self.solver.solve(forcing, factor=self.factor)
+        for at in range(0, self.whole, grid.n + 4):
+            self.solver.correct(forcing[at : at + grid.n], k[2, at : at + grid.n])
 
 
 # The one workspace of the run in progress: its _Stage, keyed by grid,
-# batch shape, delta and epsilon (a float or a tuple), so no run reuses
-# another's factorization or epsilon.  Its buffers are reused by every
-# step, so this cache assumes one calling thread.  Loading LAPACK for the
-# Helmholtz solve starts OpenBLAS's thread pool, but dpttrs runs on the
-# calling thread, and the package starts no thread of its own.  Only step
-# fills it and _march releases it when the march ends: MAX_RUN_BYTES then
-# bounds the process as well as the run, and a process between runs holds
-# no workspace.
+# batch shape, delta, epsilon (a float or a tuple) and whether it is the
+# Rusanov reference's, so no run reuses another's factorization, epsilon
+# or layout; _REST_TOL is read as it is made.  Every step reuses its
+# buffers, so it assumes one thread: dpttrs runs on the caller's.  Only
+# step fills it and _march releases it when the march ends: MAX_RUN_BYTES
+# then bounds the process as well as the run, and none outlives a run.
 @lru_cache(maxsize=1)
-def _stage(grid: Grid, shape: Tuple[int, ...], delta: float, epsilon) -> _Stage:
-    return _Stage(grid, shape, delta, epsilon, _margin(delta, grid))
+def _stage(grid: Grid, shape: Tuple[int, ...], delta: float, epsilon, reference=False) -> _Stage:
+    if reference:  # a Rusanov step moves only the two cells of a face that jumps at all
+        return _Stage(grid, shape, 1, 0.0)
+    solver = _HelmholtzSolver(delta, grid)
+    return _Stage(grid, shape, _margin(delta, grid), _REST_TOL, solver, epsilon)
 
 
 def semidiscrete_rhs_peregrine(
@@ -481,10 +541,11 @@ def semidiscrete_rhs_peregrine(
             f"eta {eta.shape} and u {u.shape} must both be ({grid.n},) or (m, {grid.n})"
         )
     # A margin of n marches every row whole but those at rest, whose rates are 0.
-    stage, rates = _Stage(grid, eta.shape, delta, epsilon, grid.n), np.zeros((2,) + eta.shape)
-    size = stage.load(np.array((eta, u))).shape[-1]
-    stage.rate(stage.k[:3, :size])
-    stage.store(stage.k[:2, :size], rates)
+    stage = _Stage(grid, eta.shape, grid.n, _REST_TOL, _HelmholtzSolver(delta, grid), epsilon)
+    rates = np.zeros((2,) + eta.shape)
+    stage.load(FieldPair(eta, u))
+    stage.rate(k := stage.k[:3, : stage.y.shape[-1]])
+    stage.store(k[:2], rates)
     return rates[0], rates[1]
 
 
@@ -589,12 +650,11 @@ def cfl_bound(state: FieldPair, grid: Grid) -> float:
 
 def _rk4_step(state: FieldPair, config: RunConfig) -> np.ndarray:
     """The (2, ...) block (eta, u) one RK4 step after state, in a fresh
-    array; cells outside the block that _arcs lays out keep their values."""
+    array; cells outside the block that _Stage lays out keep their values."""
     dt = config.dt
-    # C-ordered, as np.stack leaves no broadcast batch, so store writes y.
-    y = np.array((state.eta, state.u))
     stage = _stage(config.grid, state.eta.shape, config.delta, config.epsilon)
-    yb = stage.load(y)
+    y = stage.load(state)
+    yb = stage.y.copy()
     # Stage j's rates are rows 2j to 2j + 2 of the block, so its scratch row
     # is the next stage's first, which that stage has not yet written.
     k1, k2, k3 = (stage.k[j : j + 3, : yb.shape[-1]] for j in (0, 2, 4))
@@ -621,17 +681,16 @@ def _rk4_step(state: FieldPair, config: RunConfig) -> np.ndarray:
 
 
 def _rusanov_step(state: FieldPair, config: RunConfig) -> np.ndarray:
-    """The (2, n) block (eta, u) one Rusanov step after state."""
+    """The (2, ...) block (eta, u) one Rusanov step after state, in a fresh
+    array.  A cell that both neighbours equal takes a flux difference of
+    +0.0 and keeps its value bit for bit: only _Stage's block moves."""
     grid, dt = config.grid, config.dt
-    eta, u = state.eta, state.u
-    n = grid.n
-    # q holds (eta, u) over cells 0..n-1 with one ghost cell at each end:
-    # the wrapped cell on periodic grids, the mirror state (eta, -u) at
-    # walls.  Face j + 1/2 of q lies between q[:, j] and q[:, j + 1].
-    q = np.empty((2, n + 2))
-    q[0, 1:-1] = eta
-    q[1, 1:-1] = u
-    _fill_ghosts(q, grid, np.array([[1.0], [-1.0]]))
+    stage = _stage(grid, state.eta.shape, 0.0, 0.0, True)
+    y = stage.load(state)
+    stage.wrap()
+    # q holds (eta, u) over the block and one ghost cell at each end, whole
+    # rows' wrapped or mirrored.  Face j + 1/2 lies between q[:, j] and q[:, j + 1].
+    q = stage.p[1:, 1:-1]
     qe, qu = q
     # Per cell: the fluxes (u + eta u, eta + u^2 / 2) and the wave speed.
     f = np.empty_like(q)
@@ -652,9 +711,10 @@ def _rusanov_step(state: FieldPair, config: RunConfig) -> np.ndarray:
     jump *= half_a
     flux -= jump
     # Per cell: the flux difference, scaled by dt / dx.
-    d = np.subtract(flux[:, 1:], flux[:, :-1], out=jump[:, :n])
+    d = np.subtract(flux[:, 1:], flux[:, :-1], out=jump[:, :-1])
     d *= dt / grid.dx
-    return np.subtract(q[:, 1:-1], d)
+    stage.store(np.subtract(q[:, 1:-1], d, out=d), y)
+    return y
 
 
 def _checked(y: np.ndarray, t: float, config: RunConfig) -> FieldPair:

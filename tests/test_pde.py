@@ -566,11 +566,11 @@ class FirstStep(Exception):
 
 
 def test_snapshot_byte_budget(monkeypatch):
-    # evolve on 2**20 cells holds 8 bytes x (10 + 2 x 59 snapshots) per
-    # cell, 2**30 exactly; 60 snapshots are over and refused before the
+    # evolve on 2**20 cells holds 8 bytes x (12 + 2 x 58 snapshots) per
+    # cell, 2**30 exactly; 59 snapshots are over and refused before the
     # first step.  Both configs, whose workspace alone is checked, load;
     # 1200 steps stay inside the cell-step budget.
-    assert MAX_GRID_CELLS * 8 * (10 + 2 * 59) <= MAX_RUN_BYTES < MAX_GRID_CELLS * 8 * (10 + 2 * 60)
+    assert MAX_GRID_CELLS * 8 * (12 + 2 * 58) <= MAX_RUN_BYTES < MAX_GRID_CELLS * 8 * (12 + 2 * 59)
 
     def first_step(state, config):
         raise FirstStep
@@ -578,23 +578,23 @@ def test_snapshot_byte_budget(monkeypatch):
     monkeypatch.setattr("bore_lab.pde.step", first_step)
     run = dict(grid=Grid(-8.0, 8.0, MAX_GRID_CELLS, "periodic"), dt=5e-6, t_end=0.006)
     with pytest.raises(FirstStep):
-        evolve(small_config(snapshot_times=[1e-4 * i for i in range(59)], **run))
+        evolve(small_config(snapshot_times=[1e-4 * i for i in range(58)], **run))
     with pytest.raises(ConfigError, match="memory budget"):
-        evolve(small_config(snapshot_times=[1e-4 * i for i in range(60)], **run))
+        evolve(small_config(snapshot_times=[1e-4 * i for i in range(59)], **run))
 
 
 def test_batch_row_budget():
     # A 5-step study on 3200 cells holds the workspace alone, whatever its
     # snapshot times: 10**5 rows are 1.6e9 cell-steps, inside that budget,
-    # but 2.6e10 bytes; the cap falls between 4194 and 4195 rows.
-    assert 4194 * 3200 * 8 * 10 <= MAX_RUN_BYTES < 4195 * 3200 * 8 * 10
+    # but 3.1e10 bytes; the cap falls between 3495 and 3496 rows.
+    assert 3495 * 3200 * 8 * 12 <= MAX_RUN_BYTES < 3496 * 3200 * 8 * 12
     for snapshots in (1, 6):
         base = small_config(grid=Grid(-400.0, 400.0, 3200, "periodic"), t_end=0.125,
                             snapshot_times=[0.125 - 0.025 * i for i in range(snapshots)])
         with pytest.raises(ConfigError, match="memory budget"):
             error_study(base, [0.1] * (10**5 - 1))
-        with pytest.raises(ConfigError, match=r"\(10 \+ 2 x 0 snapshots\)\), over the memory"):
-            error_study(base, [0.1] * 4194)
+        with pytest.raises(ConfigError, match=r"\(12 \+ 2 x 0 snapshots\)\), over the memory"):
+            error_study(base, [0.1] * 3495)
 
 
 def test_error_study_memory_does_not_grow_with_snapshot_times():
@@ -665,10 +665,10 @@ def test_runs_leave_no_workspace_cached(monkeypatch):
 
 
 def test_runs_on_two_grids_leave_one_workspace():
-    # The RK4 workspace (10 arrays per cell) and the Helmholtz factorization
+    # The RK4 workspace (12 arrays per cell) and the Helmholtz factorization
     # (3 more) of a run are released when its march ends: after runs on
     # 2**14 and 2**15 cells the process holds less than one array of
-    # 2**15 cells, where keeping the last run's would hold 13.
+    # 2**15 cells, where keeping the last run's would hold 15.
     evolve(small_config(t_end=0.05))  # modules loaded before tracing
     tracemalloc.start()
     try:
@@ -970,11 +970,12 @@ def test_error_study_matches_standalone_runs(study):
 
 
 def arcs(state, cfg):
-    """_arcs of a 1-D or batch state at cfg's margin."""
+    """_arcs of a 1-D or batch state at cfg's margin and tolerance."""
     y = np.array((state.eta, state.u)).reshape(2, -1, cfg.grid.n)
     parity = np.array([1.0, -1.0]).reshape(2, 1, 1)
     scratch = np.empty(y.shape[:-1] + (cfg.grid.n + 2,)), np.empty(y.shape[:-1] + (cfg.grid.n + 1,))
-    return pde._arcs(y, cfg.grid, parity, pde._margin(cfg.delta, cfg.grid), *scratch)
+    margin = pde._margin(cfg.delta, cfg.grid)
+    return pde._arcs(y, cfg.grid, parity, margin, *scratch, pde._REST_TOL)
 
 
 @pytest.mark.parametrize(
@@ -985,20 +986,49 @@ def arcs(state, cfg):
         # On 3200 cells each row marches two arcs, and epsilon = 2 spreads
         # its fronts so that its arcs are wider than epsilon = 0's.
         pytest.param(1.0, dict(grid=Grid(-400.0, 400.0, 3200)), (0.0, 2.0), id="partial-windows"),
+        # Run on until the two rows have rescanned at different steps.
+        pytest.param(1.0, dict(grid=Grid(-400.0, 400.0, 3200), t_end=5.0,
+                               snapshot_times=(0.0, 2.5, 5.0)), (0.0, 2.0), id="own-rescans"),
     ],
 )
-def test_batch_rows_equal_standalone_runs_byte_for_byte(delta, overrides, epsilons):
+def test_batch_rows_equal_standalone_runs_byte_for_byte(delta, overrides, epsilons, monkeypatch):
     # Compared by bytes, so that a signed zero in any row would show; the
     # epsilon = 0 row and the standalone epsilon = 0 run take one stage path.
-    cfg = small_config(delta=delta, snapshot_times=(0.0, 1.0, 2.0), **overrides)
-    batch = evolve(replace(cfg, epsilon=epsilons))
+    cfg = small_config(**{"delta": delta, "snapshot_times": (0.0, 1.0, 2.0), **overrides})
+    scan = pde._arcs
+
+    def rescans(run):
+        """evolve(run), and the rows rescanned at each step that rescans."""
+        rows, steps = {}, [0]
+
+        def counting_step(state, config):
+            steps[0] += 1
+            return step(state, config)
+
+        def counting_scan(y, *args):
+            rows[steps[0]] = y.shape[1]
+            return scan(y, *args)
+
+        monkeypatch.setattr(pde, "step", counting_step)
+        monkeypatch.setattr(pde, "_arcs", counting_scan)
+        return evolve(run), rows
+
+    batch, batch_rows = rescans(replace(cfg, epsilon=epsilons))
+    alone_steps = []
     for row, epsilon in enumerate(epsilons):
-        alone = evolve(replace(cfg, epsilon=epsilon))
+        alone, rows = rescans(replace(cfg, epsilon=epsilon))
+        alone_steps.append(set(rows))
         for b, a in zip(batch, alone):
             assert b.t == a.t
             assert b.eta[row].tobytes() == a.eta.tobytes()
             assert b.u[row].tobytes() == a.u.tobytes()
+    # A batch step rescans just the rows whose standalone runs rescan then.
+    assert batch_rows == {k: sum(k in steps for steps in alone_steps)
+                          for k in set.union(*alone_steps)}
+    if "t_end" in overrides:
+        assert alone_steps[0] != alone_steps[1]
     if overrides:
+        monkeypatch.setattr(pde, "_arcs", scan)
         w, segments = arcs(batch[-1], cfg)
         assert w == 0 and [a[1:] for a in segments[:2]] != [a[1:] for a in segments[2:]]
 
@@ -1032,9 +1062,21 @@ def test_windowed_march_matches_the_whole_grid_march(cfg, shift, whole_at_end, m
     init = make_initial(cfg.ic, cfg.grid)
     (windowed,) = evolve(cfg)
     assert arcs(init, cfg)[0] == 0 and arcs(windowed, cfg)[0] == whole_at_end
-    # A zero tolerance makes the margin unbounded: every row is marched whole.
+    # A zero tolerance makes the margin unbounded: every row is marched
+    # whole, as each step's block shows, the tolerance being read when the
+    # march makes its stage.
     monkeypatch.setattr(pde, "_REST_TOL", 0.0)
+    blocks = set()
+
+    def recording_step(state, config):
+        new = step(state, config)
+        stage = pde._stage(config.grid, state.eta.shape, config.delta, config.epsilon)
+        blocks.add((stage.whole, stage.p.shape[1]))
+        return new
+
+    monkeypatch.setattr(pde, "step", recording_step)
     (whole,) = evolve(cfg, initial=FieldPair(np.roll(init.eta, shift), np.roll(init.u, shift)))
+    assert blocks == {(cfg.grid.n + 4, cfg.grid.n + 4)}
     for got, want in ((windowed.eta, whole.eta), (windowed.u, whole.u)):
         assert np.max(np.abs(got - np.roll(want, -shift))) <= 1e-15
     mass = discrete_mass(whole, cfg.grid)
@@ -1063,9 +1105,9 @@ def test_batch_of_whole_windowed_and_resting_rows_equals_standalone_runs(boundar
 
 def test_sec4_riemann_steps_a_fraction_of_its_cells():
     # At t = 0 only the tanh ramp's 293 cells and the dam break across the
-    # seam jump; with 165 cells of margin each side the block holds 971 of
-    # the 6400 cells, ghost cells included, where the whole grid would hold
-    # 6404.
+    # seam jump; with 165 cells of margin and 32 of slack each side the
+    # block holds 1,099 of the 6400 cells, ghost cells included, where the
+    # whole grid would hold 6404.
     cfg = build_run_config({k: str(v) for k, v in preset_pairs("sec4-riemann").items()})
     init = make_initial(cfg.ic, cfg.grid)
     pde._stage.cache_clear()
@@ -1073,6 +1115,155 @@ def test_sec4_riemann_steps_a_fraction_of_its_cells():
         step(init, cfg)
         stage = pde._stage(cfg.grid, init.eta.shape, cfg.delta, cfg.epsilon)
         assert stage.p.shape[1] < 1100
+    finally:
+        pde._stage.cache_clear()
+
+
+def sec4_riemann():
+    return build_run_config({k: str(v) for k, v in preset_pairs("sec4-riemann").items()})
+
+
+def test_sec4_riemann_rescans_a_few_of_its_steps(monkeypatch):
+    # A layout holds until a wave nears an arc's edge: over the first 400
+    # steps the row is scanned 5 times, where a scan per step would be 400.
+    scan, scans = pde._arcs, []
+
+    def counting_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(pde, "_arcs", counting_scan)
+    evolve(replace(sec4_riemann(), t_end=10.0, snapshot_times=()))
+    assert len(scans) <= 20
+
+
+def test_step_is_pure_for_states_it_did_not_return():
+    # A layout is kept only for the state the last step returned: any other
+    # state, here one the stage has stepped before, is scanned afresh, so
+    # each step equals the same step from an empty cache.  b's bump lies
+    # outside a's two arcs, around the dam breaks at x = 0 and the seam.
+    cfg = small_config(grid=Grid(-400.0, 400.0, 3200))
+    a = make_initial(cfg.ic, cfg.grid)
+    bump = np.exp(-(((cfg.grid.x - 200.0) / 3.0) ** 2))
+    b = FieldPair(0.2 * bump, -0.1 * bump)
+
+    def fresh(state):
+        pde._stage.cache_clear()
+        return step(state, cfg)
+
+    try:
+        expected = [fresh(state) for state in (a, b, a)]
+        pde._stage.cache_clear()
+        for state, want in zip((a, b, a), expected):
+            got = step(state, cfg)
+            assert got.eta.tobytes() + got.u.tobytes() == want.eta.tobytes() + want.u.tobytes()
+    finally:
+        pde._stage.cache_clear()
+
+
+def test_arcs_parted_by_two_resting_cells_merge(monkeypatch):
+    # Three one-cell bumps 2 (margin + slack) + 5 cells apart around a
+    # circle leave two resting cells between their arcs: three arcs and
+    # their ghost cells would take n + 6 cells of a block sized n + 4.
+    reach = pde._margin(0.0, Grid(0.0, 1.0, 256)) + pde._SLACK
+    n = 3 * (2 * reach + 5)
+    grid = Grid(0.0, 0.5 * n, n)
+    eta = np.zeros(n)
+    eta[:: 2 * reach + 5] = 0.01
+    cfg = RunConfig("peregrine-dissipative", grid, Gaussian(0.0, 1.0), 0.01, 1.0, epsilon=0.1)
+    state = FieldPair(eta, np.zeros(n))
+    pde._stage.cache_clear()
+    try:
+        windowed = step(state, cfg)
+        assert pde._stage(grid, (n,), 0.0, 0.1).p.shape[1] <= n + 4
+        pde._stage.cache_clear()
+        monkeypatch.setattr(pde, "_REST_TOL", 0.0)
+        whole = step(state, cfg)
+    finally:
+        pde._stage.cache_clear()
+    for got, want in ((windowed.eta, whole.eta), (windowed.u, whole.u)):
+        assert np.max(np.abs(got - want)) <= 1e-17
+
+
+def whole_grid_rusanov(state, config):
+    """One Rusanov step marching every cell, with one ghost cell at each
+    end: the windowed reference must reproduce it byte for byte."""
+    grid, dt = config.grid, config.dt
+    n = grid.n
+    q = np.empty((2, n + 2))
+    q[0, 1:-1] = state.eta
+    q[1, 1:-1] = state.u
+    pde._fill_ghosts(q, grid, np.array([[1.0], [-1.0]]))
+    qe, qu = q
+    f = np.empty_like(q)
+    np.multiply(qe, qu, out=f[0])
+    f[0] += qu
+    np.multiply(qu, 0.5, out=f[1])
+    f[1] *= qu
+    f[1] += qe
+    speed = np.add(qe, 1.0)
+    np.sqrt(speed, out=speed)
+    speed += np.abs(qu)
+    half_a = np.maximum(speed[:-1], speed[1:])
+    half_a *= 0.5
+    flux = np.add(f[:, :-1], f[:, 1:])
+    flux *= 0.5
+    jump = np.subtract(q[:, 1:], q[:, :-1])
+    jump *= half_a
+    flux -= jump
+    d = np.subtract(flux[:, 1:], flux[:, :-1], out=jump[:, :n])
+    d *= dt / grid.dx
+    y = np.subtract(q[:, 1:-1], d)
+    return FieldPair(y[0], y[1], state.t + dt)
+
+
+@pytest.mark.parametrize(
+    "grid, ic, dt, t_end, whole_at_end",
+    [
+        # The seam is a second dam break.
+        pytest.param(Grid(-400.0, 400.0, 3200), SmoothedRiemann(0.5), 0.025, 20.0, False,
+                     id="periodic-dam-break"),
+        # The bump is exactly 0 past |x| = 41, so the march starts windowed;
+        # its waves reach the walls, and the row is marched whole from then.
+        pytest.param(Grid(-60.0, 60.0, 480, "reflective"), Gaussian(0.4, 1.5), 0.05, 150.0,
+                     True, id="reflective-walls"),
+        # The waves meet across the seam and close the circle.
+        pytest.param(Grid(-60.0, 60.0, 480), Gaussian(0.4, 1.5), 0.05, 150.0, True,
+                     id="periodic-circle"),
+    ],
+)
+def test_windowed_reference_equals_the_whole_grid_march_byte_for_byte(
+    grid, ic, dt, t_end, whole_at_end, monkeypatch
+):
+    wholes = []
+
+    def recording_step(state, config):
+        new = step(state, config)
+        wholes.append(pde._stage(config.grid, state.eta.shape, 0.0, 0.0, True).whole)
+        return new
+
+    monkeypatch.setattr(pde, "step", recording_step)
+    times = tuple(t_end * i / 5 for i in range(6))
+    cfg = RunConfig("shallow-water", grid, ic, dt, t_end, snapshot_times=times)
+    want = make_initial(ic, grid)
+    for snapshot in evolve(cfg):
+        assert snapshot.eta.tobytes() == want.eta.tobytes()
+        assert snapshot.u.tobytes() == want.u.tobytes()
+        for _ in range(round(t_end / dt) // 5):
+            want = whole_grid_rusanov(want, cfg)
+    assert (wholes[0], wholes[-1]) == (0, (grid.n + 4) * whole_at_end)
+
+
+def test_sec4_riemann_reference_steps_a_fraction_of_its_cells():
+    # With tolerance 0, a reach of one cell and 32 cells of slack, the
+    # reference's first block holds the ramp's ~300 cells and the seam's
+    # dam break, 443 of the 6404 a whole row would hold.
+    cfg = replace(sec4_riemann(), system="shallow-water", delta=0.0, epsilon=0.0)
+    init = make_initial(cfg.ic, cfg.grid)
+    pde._stage.cache_clear()
+    try:
+        step(init, cfg)
+        assert pde._stage(cfg.grid, init.eta.shape, 0.0, 0.0, True).p.shape[1] < 600
     finally:
         pde._stage.cache_clear()
 
