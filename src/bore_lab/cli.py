@@ -225,28 +225,25 @@ def cmd_evolve(args) -> int:
         runs.append(("reference", ref_config))
     out_dir = Path(args.out_dir)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    # Which (run, position) files were begun: kept as flags, not paths, so
-    # that what a run holds does not grow with its snapshot times.
-    begun = np.zeros((len(runs), n_snapshots), dtype=bool)
+    # The path of each file, recorded before the file is begun: two per
+    # snapshot and run, so the memory budget bounds them as the snapshots.
+    begun = [out_dir / "plot.gp"]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "plot.gp").write_text(_evolve_plot(n_snapshots, "snapshot"))
-        for r, (prefix, run_config) in enumerate(runs):
+        begun[0].write_text(_evolve_plot(n_snapshots, "snapshot"))
+        for prefix, run_config in runs:
             for positions, state in _march(run_config, None):
                 for i in positions:
-                    begun[r, i] = True
-                    write_snapshot_csv(state, config.grid, out_dir / f"{prefix}_{i:03d}.csv")
-                    write_snapshot_manifest(run_config, state, out_dir / f"{prefix}_{i:03d}.json")
+                    csv, manifest = (out_dir / f"{prefix}_{i:03d}.{s}" for s in ("csv", "json"))
+                    begun += [csv, manifest]
+                    write_snapshot_csv(state, config.grid, csv)
+                    write_snapshot_manifest(run_config, state, manifest)
                 # Written, so dropped: the march's next steps need not hold it.
                 del state
     except BaseException:
-        files = [out_dir / "plot.gp"] + [
-            out_dir / f"{runs[r][0]}_{i:03d}.{suffix}"
-            for r, i in np.argwhere(begun).tolist() for suffix in ("csv", "json")
-        ]
         # Each removal is best effort, so that the run's own error is the
         # one reported.
-        for path in files:
+        for path in begun:
             with contextlib.suppress(OSError):
                 path.unlink(missing_ok=True)
         for directory in made:

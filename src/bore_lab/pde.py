@@ -26,10 +26,10 @@ identity row.  Stage j's eta_t, u_t and scratch are rows 2j to 2j + 2 of
 a (7, block) rate block.  At delta = 0 the solve applies the identity.
 
 Every run is one march calling step once per dt and yielding the states
-that requested times map to.  evolve copies them as snapshots; the
-`evolve` command instead writes each to its files as it is yielded.  A
-tuple epsilon makes a batch: one row per value, sharing grid, step and
-initial data, each row stepped as its standalone run would be.
+that requested times map to, each read-only (_checked): evolve keeps them
+as snapshots without copying, the `evolve` command writes each to its
+files as it is yielded.  A tuple epsilon makes a batch: one row per value,
+sharing grid, step and initial data, each stepped as its standalone run.
 error_study marches such a batch and folds each yielded state into one
 error norm per row.  So neither command's memory grows with the number of
 snapshot times.  A march releases the cached workspace when it ends: a
@@ -82,13 +82,13 @@ MAX_CELL_STEPS = 2 * 10**9
 # Largest memory a run may hold, in bytes: rows x cells x 8 x
 # (12 + 2 x snapshots) for evolve, 12 arrays being the RK4 stage workspace
 # per cell and row, sized a priori for every row marched whole, and 2 the
-# eta and u of each snapshot copy, and rows x cells x 8 x 12 for
+# eta and u of each snapshot kept, and rows x cells x 8 x 12 for
 # error_study, which keeps no snapshot.  The evolve command keeps none
 # either, writing each as it is reached, but is refused as evolve would
 # be: there the snapshot term caps what it writes.  The workspace's
 # Helmholtz factors, 5n doubles whatever the rows, lie outside this count.
-# About 700 times the 1.54 MB so counted of the acceptance error study,
-# the largest preset or bench run.
+# About 700 times the 1.54 MB so counted of the c08 error study, the
+# largest preset or bench run.
 MAX_RUN_BYTES = 2**30
 
 # Arrays per cell and batch row in the RK4 stage workspace (_Stage): the
@@ -275,18 +275,18 @@ class _HelmholtzSolver:
         self.dirichlet = dpttrf(diag, off)[:2]
         # End diagonals are 1 + 3q either way: the periodic wrap is written
         # as T - q*w w^T with w = e_0 + e_{n-1} and restored by the rank-one
-        # correction in solve(), while reflective grids use the odd mirror
+        # correction in correct(), while reflective grids use the odd mirror
         # closure (the solved field is velocity-like and vanishes at walls).
         diag[0] += q
         diag[-1] += q
-        self._d, self._e, info = dpttrf(diag, off)
+        *self.factor, info = dpttrf(diag, off)
         if info != 0:
             raise NumericsError(f"Helmholtz factorization failed (dpttrf info = {info})")
         self._p = None
         if grid.boundary is BoundaryKind.PERIODIC:
             w = np.zeros(n)
             w[0] = w[-1] = 1.0
-            self._p = p = self.solve(w)
+            self._p = p = self.solve(w, self.factor)
             # p decays geometrically from both ends and mid-domain falls to
             # subnormals (746 of 6400 entries on the sec4-riemann grid), on
             # which every correction multiply and add runs slowly.  Zeroed,
@@ -295,17 +295,16 @@ class _HelmholtzSolver:
             p[np.abs(p) < np.finfo(float).tiny] = 0.0
             self._gain = q / (1.0 - q * (p[0] + p[-1]))
 
-    def solve(self, z: np.ndarray, factor=None) -> np.ndarray:
-        """Overwrite z, a C-contiguous (n,) or (m, n) rhs, with the solution.
-        factor, a block's (d, e), replaces the grid's own, and then the
-        periodic correction is not added: correct adds it row by row."""
-        d, e = factor or (self._d, self._e)
+    def solve(self, z: np.ndarray, factor: Sequence[np.ndarray]) -> np.ndarray:
+        """Overwrite z, a C-contiguous (n,) or (m, n) rhs, with its solution
+        by factor, (d, e): the grid's own, self.factor, or a block's.  The
+        periodic correction is not added: correct adds it."""
         # The (n, m) transpose is Fortran-ordered, so dpttrs solves each
         # column, one row of z, in z's own memory.
-        _, info = self._dpttrs(d, e, z.reshape(-1, z.shape[-1]).T, overwrite_b=1)
+        _, info = self._dpttrs(*factor, z.reshape(-1, z.shape[-1]).T, overwrite_b=1)
         if info != 0:
             raise NumericsError(f"Helmholtz solve failed (dpttrs info = {info})")
-        return z if factor else self.correct(z)
+        return z
 
     def correct(self, z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
         """Add the periodic rank-one term, in scratch if given, to z solved by the grid's factor."""
@@ -322,7 +321,8 @@ def helmholtz_apply_inverse(rhs: np.ndarray, delta: float, grid: Grid) -> np.nda
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim not in (1, 2) or rhs.shape[-1] != grid.n:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({grid.n},) or (m, {grid.n})")
-    return _HelmholtzSolver(delta, grid).solve(rhs.copy())
+    solver = _HelmholtzSolver(delta, grid)
+    return solver.correct(solver.solve(rhs.copy(), solver.factor))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,8 @@ class _Stage:
         """Gather the state's segments into the block and return y, a
         C-ordered (2, ..., n) copy of it for store to write into.  The rows
         rescanned are those whose guard bands, the margin + 1 faces inside
-        each arc's ends, jump by over tol if state is the last call's y, else all."""
+        each arc's ends, jump by over tol if state is the last call's y,
+        else all; step hands y back read-only, so it holds its values."""
         n = self.grid.n
         y = np.array((state.eta, state.u))
         if self.last is not None and state.eta.base is self.last and state.u.base is self.last:
@@ -458,7 +459,7 @@ class _Stage:
                 faces = np.r_[lo : lo + margin + 1, hi + 1 - margin : hi + 2]
                 band.append(r * n + np.array(((faces - 1) % n, faces % n)))
             if self.solver:
-                factor = self.solver.dirichlet if g else (self.solver._d, self.solver._e)
+                factor = self.solver.dirichlet if g else self.solver.factor
                 d[at : at + m], e[at : at + m - 1] = factor[0][:m], factor[1][: m - 1]
                 d[at + m : at + m + 4], e[at + m - 1 : at + m + 4] = 1.0, 0.0
             # epsilon scales one run per row, ghost cells between its arcs included.
@@ -505,7 +506,7 @@ class _Stage:
         # across a junction of the block is +-0 * 0 and moves no value.
         k[:2, self.ghosts] = 0.0
         if self.factor:
-            self.solver.solve(forcing, factor=self.factor)
+            self.solver.solve(forcing, self.factor)
         for at in range(0, self.whole, grid.n + 4):
             self.solver.correct(forcing[at : at + grid.n], k[2, at : at + grid.n])
 
@@ -625,8 +626,8 @@ def _check_work(config: RunConfig, epsilon: float, rows: int) -> None:
 
 
 def _check_bytes(config: RunConfig, rows: int, snapshots: int) -> None:
-    """Refuse a run whose RK4 workspace and snapshot copies, the eta and u
-    of each, would hold more than MAX_RUN_BYTES."""
+    """Refuse a run whose RK4 workspace and snapshots, the eta and u of
+    each, would hold more than MAX_RUN_BYTES."""
     run_bytes = rows * config.grid.n * 8 * (_WORKSPACE_ARRAYS + 2 * snapshots)
     if run_bytes > MAX_RUN_BYTES:
         raise ConfigError(
@@ -718,8 +719,8 @@ def _rusanov_step(state: FieldPair, config: RunConfig) -> np.ndarray:
 
 
 def _checked(y: np.ndarray, t: float, config: RunConfig) -> FieldPair:
-    """The state (eta, u) = y, a (2, ...) block, at t, once checked finite,
-    then 1 + eta > 0, then dt within cfl_bound."""
+    """The state (eta, u) = y, a (2, ...) block, at t, made read-only once
+    checked finite, then 1 + eta > 0, then dt within cfl_bound."""
     axes = tuple(range(1, y.ndim))
     # Read as Python floats, which compare faster than numpy scalars.
     (eta_hi, u_hi), (eta_lo, u_lo) = (
@@ -735,11 +736,12 @@ def _checked(y: np.ndarray, t: float, config: RunConfig) -> FieldPair:
         raise NumericsError(
             f"advective bound {bound:.6g} fell below dt = {config.dt} at t = {t:.6g}"
         )
+    y.flags.writeable = False
     return FieldPair(y[0], y[1], t)
 
 
 def step(state: FieldPair, config: RunConfig) -> FieldPair:
-    """Advance one dt; NumericsError unless the new state passes _checked."""
+    """Advance one dt to a read-only state; NumericsError unless it passes _checked."""
     t = state.t + config.dt
     if config.system is SystemKind.SHALLOW_WATER:
         return _checked(_rusanov_step(state, config), t, config)
@@ -754,26 +756,23 @@ def _march(
 
     The requested times are config.snapshot_times, or (t_end,) if there are
     none, and positions indexes them.  Each is mapped to the nearest whole
-    step.  The march writes no yielded state again and drops each at the
-    next step: a caller that keeps one keeps its memory.  When the march
-    ends, finished, failed or closed, it releases the cached RK4 workspace,
-    Helmholtz factorization included.
+    step.  Each yielded state is read-only (at t = 0 the checked copy of the
+    initial state) and dropped at the next step: a caller that keeps one
+    keeps its memory.  When the march ends, finished, failed or closed, it
+    releases the cached RK4 workspace, Helmholtz factorization included.
     """
     n = config.grid.n
     shape = (len(config.epsilon), n) if isinstance(config.epsilon, tuple) else (n,)
-    if initial is None:
-        init = make_initial(config.ic, config.grid)
-        state = FieldPair(np.broadcast_to(init.eta, shape), np.broadcast_to(init.u, shape))
-    else:
-        if initial.eta.shape != shape:
-            raise ValueError(f"initial state has shape {initial.eta.shape}, the run {shape}")
-        state = FieldPair(initial.eta, initial.u, 0.0)
+    if initial is not None and initial.eta.shape != shape:
+        raise ValueError(f"initial state has shape {initial.eta.shape}, the run {shape}")
+    init = make_initial(config.ic, config.grid) if initial is None else initial
+    fields = [np.broadcast_to(f, shape) for f in (init.eta, init.u)]
     n_total = int(round(config.t_end / config.dt))
     wanted: Dict[int, List[int]] = {}
     for pos, ts in enumerate(config.snapshot_times or (config.t_end,)):
         wanted.setdefault(min(max(int(round(ts / config.dt)), 0), n_total), []).append(pos)
     try:
-        _checked(np.stack((state.eta, state.u)), state.t, config)
+        state = _checked(np.stack(fields), 0.0, config)
         if 0 in wanted:
             yield wanted[0], state
         for k in range(1, n_total + 1):
@@ -788,7 +787,8 @@ def _march(
 
 
 def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[FieldPair]:
-    """Run to t_end, returning snapshots at the requested times.
+    """Run to t_end, keeping as snapshots the read-only states the march
+    yields at the requested times, uncopied: times mapped to one step share one.
 
     Each requested time is mapped to the nearest whole step; with no
     requested times the final state alone is returned.  Deterministic:
@@ -804,7 +804,7 @@ def evolve(config: RunConfig, initial: Optional[FieldPair] = None) -> List[Field
     snapshots: List[Optional[FieldPair]] = [None] * len(requested)
     for positions, state in _march(config, initial):
         for pos in positions:
-            snapshots[pos] = state.copy()
+            snapshots[pos] = state
     return snapshots
 
 

@@ -515,8 +515,9 @@ def test_evolve_memory_does_not_grow_with_snapshot_times(tmp_path, capsys, monke
     # more than 2 do, where keeping them would cost 2 x 38 snapshots more.
     # The writers are stand-ins that keep nothing, so that the peak is what
     # the command holds (the test above checks the real files).  What does
-    # grow, the map from steps to positions and the parsed times, read
-    # under 2 kB, against 51 kB for one snapshot on these 3200 cells.
+    # grow, the map from steps to positions, the parsed times and the path
+    # of each file begun, kept for the rollback, read 23 kB for the 152
+    # more files, against 51 kB for one snapshot on these 3200 cells.
     calls = [0]
 
     def count(*args):

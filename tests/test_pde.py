@@ -47,8 +47,14 @@ from bore_lab.pde import (
     write_error_series_csv,
     write_snapshot_csv,
 )
-from bore_lab.traveling_wave import integrate_profile
-from bore_lab.waveform import WaveParams, equilibria
+from bore_lab.traveling_wave import integrate_profile, shape_report
+from bore_lab.waveform import (
+    WaveParams,
+    critical_epsilon,
+    equilibria,
+    potential,
+    solitary_amplitude,
+)
 
 
 def periodic_grid(n=256):
@@ -251,13 +257,14 @@ def test_periodic_correction_holds_no_subnormals():
     raw._p = None
     w = np.zeros(g.n)
     w[0] = w[-1] = 1.0
-    raw._p = raw.solve(w)
+    raw._p = raw.solve(w, raw.factor)
     subnormal = (raw._p != 0.0) & (np.abs(raw._p) < tiny)
     assert np.count_nonzero(subnormal) == 746
     assert np.array_equal(np.where(subnormal, 0.0, raw._p), solver._p)
     assert raw._gain == solver._gain
     z = np.random.default_rng(7).standard_normal((2, g.n))
-    assert np.array_equal(solver.solve(z.copy()), raw.solve(z.copy()))
+    flushed, unflushed = (s.correct(s.solve(z.copy(), s.factor)) for s in (solver, raw))
+    assert np.array_equal(flushed, unflushed)
 
 
 def test_helmholtz_zero_delta_is_identity():
@@ -781,6 +788,27 @@ def test_snapshots_keep_requested_order():
     assert np.array_equal(snaps[0].eta, snaps[2].eta)
 
 
+def test_evolve_keeps_the_read_only_states_the_march_yields():
+    # Snapshots are the march's states, not copies of them: snapshot 0 is
+    # the march's checked copy of the initial state, which a later write
+    # into that state leaves alone; two times mapped to one step share its
+    # state; and no snapshot can be written.
+    cfg = small_config(t_end=0.5, snapshot_times=(0.0, 0.25, 0.26, 0.5))
+    s0 = make_initial(cfg.ic, cfg.grid)
+    eta0, u0 = s0.eta.copy(), s0.u.copy()
+    snaps = evolve(cfg, initial=s0)
+    assert np.array_equal(snaps[0].eta, eta0) and np.array_equal(snaps[0].u, u0)
+    s0.eta += 1.0
+    s0.u -= 1.0
+    assert np.array_equal(snaps[0].eta, eta0) and np.array_equal(snaps[0].u, u0)
+    assert snaps[1].t == snaps[2].t == pytest.approx(0.25, abs=1e-12)
+    assert np.array_equal(snaps[1].eta, snaps[2].eta) and np.array_equal(snaps[1].u, snaps[2].u)
+    for snap in snaps:
+        for field in (snap.eta, snap.u):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0.0
+
+
 def test_evolve_is_deterministic():
     cfg = small_config(t_end=1.0)
     a = evolve(cfg)[0]
@@ -1161,6 +1189,25 @@ def test_step_is_pure_for_states_it_did_not_return():
         pde._stage.cache_clear()
 
 
+def test_a_state_step_returned_cannot_be_written():
+    # The next step reuses the layout of the state step returned, so that
+    # state must keep the values it was laid out for.  Written at x = 200,
+    # outside every arc, after ten steps, eta there would stay frozen at
+    # the next step, 1.8e-6 off the step a fresh scan takes: the write is
+    # refused instead, into u as into eta.
+    cfg = small_config(grid=Grid(-400.0, 400.0, 3200), ic=SmoothedRiemann(0.5, 2.0))
+    state = make_initial(cfg.ic, cfg.grid)
+    pde._stage.cache_clear()
+    try:
+        for _ in range(10):
+            state = step(state, cfg)
+        for field in (state.eta, state.u):
+            with pytest.raises(ValueError, match="read-only"):
+                field[2400] += 0.01
+    finally:
+        pde._stage.cache_clear()
+
+
 def test_arcs_parted_by_two_resting_cells_merge(monkeypatch):
     # Three one-cell bumps 2 (margin + slack) + 5 cells apart around a
     # circle leave two resting cells between their arcs: three arcs and
@@ -1425,6 +1472,51 @@ def test_pde_carries_the_exact_viscous_shock_at_delta_0():
         errors.append(math.sqrt(dx * float(np.dot(d_eta, d_eta) + np.dot(d_u, d_u))))
     assert errors[0] / errors[1] >= 3.5
     assert errors[1] <= 2e-5
+
+
+# ---- the epsilon -> 0 limit of the bore's lead crest -------------------
+
+
+def melnikov(c, delta):
+    """(u_bar, M, G'(u_bar)): the solitary crest at speed c, the Melnikov
+    integral M = int_0^u_bar sqrt(-2 G(u)) du and the slope of G there.
+
+    V = v**2/2 + G(u) obeys dV/dxi = epsilon v**2 / (delta c), so between
+    the bore's lead crest u1 (v = 0) and rest G(u1) = -epsilon int |v| du,
+    and as epsilon -> 0, |v| -> sqrt(-2G): -G(u1) = epsilon M + O(eps**2),
+    u_bar - u1 = epsilon M / G'(u_bar) + O(eps**2) (Guckenheimer & Holmes,
+    Nonlinear Oscillations, Dynamical Systems, and Bifurcations of Vector
+    Fields, 1983, 4.5).  M is 400-point Gauss-Legendre in theta, u =
+    u_bar (1 - cos theta) / 2, which takes both end-point roots away.
+    """
+    u_bar = solitary_amplitude(c)[0]
+    x, w = np.polynomial.legendre.leggauss(400)
+    theta = 0.5 * math.pi * (x + 1.0)
+    u = 0.5 * u_bar * (1.0 - np.cos(theta))
+    root = np.sqrt(-2.0 * potential(u, WaveParams(c, delta, 0.0)))
+    m = 0.25 * math.pi * u_bar * float(np.dot(w, root * np.sin(theta)))
+    slope = delta * c * (0.5 * u_bar**2 - c * u_bar - 1.0 + c / (c - u_bar))
+    return u_bar, m, slope
+
+
+@pytest.mark.parametrize("c, delta", [(1.2, 1.0 / 3.0), (1.5, 0.5), (2.0, 1.0), (3.0, 0.5)])
+def test_lead_crest_tends_to_the_solitary_wave_at_the_melnikov_rate(c, delta):
+    # The lead crest, the maximum nearest the manifold seed, at 0.025 and
+    # 0.0125 epsilon*, against the first-order law in both forms: r, the
+    # deficit u_bar - u1 over epsilon M / G'(u_bar), and q, -G(u1) over
+    # epsilon M.  Each tends to 1 linearly in epsilon, so the Richardson
+    # value 2 r(eps / 2) - r(eps) lies within 2e-3 of 1 (measured at worst
+    # 1.2e-3 for r, at (3, 0.5), and 1.9e-3 for q, at (1.2, 1/3)).
+    u_bar, m, slope = melnikov(c, delta)
+    r, q = [], []
+    for share in (0.025, 0.0125):
+        params = WaveParams(c, delta, share * critical_epsilon(c, delta))
+        u1 = max(shape_report(integrate_profile(params)).maxima)[1]
+        r.append((u_bar - u1) * slope / (params.epsilon * m))
+        q.append(-potential(u1, params) / (params.epsilon * m))
+    for ratio in (r, q):
+        assert abs(2.0 * ratio[1] - ratio[0] - 1.0) <= 2e-3, (r, q)
+        assert abs(ratio[1] - 1.0) <= 0.06, (r, q)
 
 
 # ---- profile injection and front tracking ------------------------------
